@@ -1,118 +1,35 @@
-"""Adaptive batch sizing for the exhaustive sweeps (the complexity budget).
+"""The batch contract shared by the exhaustive sweeps (the complexity budget).
 
-The exhaustive kernels behind Theorem 2.20's finite-size checks promise
-``O(E)`` *vector* operations per batch: the enumeration sweep of
-:mod:`repro.cuts.enumerate_exact` touches its edge arrays once per batch
-with NumPy shifts, and the cyclic pin sweep of :mod:`repro.cuts.parallel`
-runs one vectorized min-plus sweep per pin.  The only free parameter is
-the batch size, and it trades three pressures off against each other:
-
-* **memory** — a batch materializes a handful of ``int64`` lanes of
-  length ``2^bits``, so ``bits`` is capped by a working-set budget (and
-  further by a :class:`~repro.resilience.budget.Budget`'s
-  ``max_batch_bits`` ceiling);
-* **fixed overhead** — tiny batches pay the Python-level loop, checkpoint
-  write and budget poll once per batch, so throughput collapses when a
-  batch finishes too fast;
-* **responsiveness** — huge batches poll the budget rarely and make
-  checkpoint granularity coarse.
-
-:class:`BatchAutotuner` picks a starting size from the memory model and
-then adapts between batches toward a target latency window, measured with
-an injectable clock.  Batch boundaries never affect results: the profile
-fold is an elementwise minimum (associative, commutative) and the witness
-rule "first strictly better wins" selects the globally lowest achieving
-mask under any ascending batch grid, so retuning — even mid-run, even
-across a checkpoint resume with a different grid — is bit-identical to a
-fixed-size sweep.  The batch contract itself is versioned
-(:data:`BATCH_CONTRACT_VERSION`) and folded into checkpoint and cache
-fingerprints; lint rule RL008 (see ``docs/lint.md``) statically rejects
-kernels that break the one-Python-loop-level budget.
+The exhaustive kernels behind Theorem 2.20's finite-size checks do their
+work in vectorized blocks: the enumeration sweep of
+:mod:`repro.cuts.enumerate_exact` evaluates a block of ``2^16`` side
+masks with one matrix product (its block size is a constant of that
+module), and the cyclic pin sweep of :mod:`repro.cuts.parallel` runs one
+vectorized min-plus sweep per pin.  Grid boundaries never affect
+results: the profile fold is an elementwise minimum (associative,
+commutative) and the witness rule "first strictly better wins" selects
+the globally lowest achieving mask under any ascending grid, so a resume
+under a different grid — or a shard table from :func:`sweep_ranges` — is
+bit-identical to an uninterrupted sweep.  The batch contract itself is
+versioned (:data:`BATCH_CONTRACT_VERSION`) and folded into checkpoint
+and cache fingerprints; lint rule RL008 (see ``docs/lint.md``)
+statically rejects kernels that break the one-Python-loop-level budget.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
-
-from ..obs import gauge, incr
 
 __all__ = [
     "BATCH_CONTRACT_VERSION",
-    "BatchAutotuner",
     "pin_chunk_count",
     "sweep_ranges",
 ]
 
 #: Version of the batched-kernel contract (accumulation order, pre-fold
-#: checkpoint state, O(E)-vector-ops-per-batch).  Bump when a semantic
+#: checkpoint state, vectorized work per batch).  Bump when a semantic
 #: change would make persisted ranges or cached profiles unsafe to reuse.
 BATCH_CONTRACT_VERSION = 2
-
-#: int64 lanes a batch materializes (masks, capacity, count, sort order).
-_LANES = 4
-_DEFAULT_MEMORY_BUDGET = 64 << 20  # 64 MiB working set
-_MIN_BITS = 10
-_MAX_BITS = 22
-
-#: Per-batch latency window (seconds): grow below, shrink above.
-_TARGET_LOW = 0.02
-_TARGET_HIGH = 0.5
-
-
-@dataclass
-class BatchAutotuner:
-    """Pick and adapt ``batch_bits`` for an exhaustive bitmask sweep.
-
-    Parameters
-    ----------
-    edges:
-        Edge count of the instance; each mask in a batch costs ``O(E)``
-        vector-lane work, so heavier instances start with smaller batches.
-    min_bits, max_bits:
-        Hard clamp on the tuned exponent.
-    memory_budget:
-        Working-set budget in bytes for the per-batch ``int64`` lanes.
-    clock:
-        Monotonic time source (injectable for deterministic tests).
-    """
-
-    edges: int
-    min_bits: int = _MIN_BITS
-    max_bits: int = _MAX_BITS
-    memory_budget: int = _DEFAULT_MEMORY_BUDGET
-    # repro-lint: disable=RL007 -- autotuner feedback signal, not a reported timing; the surrounding sweep is already traced
-    clock: Callable[[], float] = field(default=time.perf_counter)
-
-    def initial_bits(self) -> int:
-        """Starting exponent from the memory model (before any timing)."""
-        bits = self.max_bits
-        while bits > self.min_bits and (1 << bits) * _LANES * 8 > self.memory_budget:
-            bits -= 1
-        # Heavier edge arrays mean more vector work per mask; start one
-        # notch down per 4x edges beyond a 64-edge baseline so the first
-        # batch lands near the latency window instead of far above it.
-        e = max(int(self.edges), 1)
-        while bits > self.min_bits and e > 64:
-            bits -= 1
-            e >>= 2
-        gauge("perf.autotune.batch_bits", bits)
-        return bits
-
-    def next_bits(self, bits: int, elapsed: float) -> int:
-        """Adapt after one measured batch: grow if fast, shrink if slow."""
-        tuned = bits
-        if elapsed < _TARGET_LOW and bits < self.max_bits:
-            tuned = bits + 1
-        elif elapsed > _TARGET_HIGH and bits > self.min_bits:
-            tuned = bits - 1
-        if tuned != bits:
-            incr("perf.autotune.adjustments")
-            gauge("perf.autotune.batch_bits", tuned)
-        return tuned
 
 
 def pin_chunk_count(

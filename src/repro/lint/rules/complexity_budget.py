@@ -1,9 +1,9 @@
 """RL008 complexity-budget: exhaustive kernels must honor the batch contract.
 
 The exhaustive solvers (the Theorem 2.20 enumeration sweep, the cyclic
-pin sweep behind Lemmas 3.2/3.3) promise *O(E) vector operations per
-batch*: the only Python-level loop iterates over batches or pins, and
-every iteration does its real work in NumPy lanes.  Two static smells
+pin sweep behind Lemmas 3.2/3.3) promise *vectorized work per batch*:
+the only Python-level loop iterates over blocks or pins, and every
+iteration does its real work in NumPy lanes.  Two static smells
 break that budget:
 
 * an **exponential Python loop** — ``for ... in range(1 << k)`` (or
@@ -13,8 +13,8 @@ break that budget:
   each must say so: this rule's suppressions require a justification;
 * an **unbounded batch size** — a ``*_BITS``/``batch_bits``/``max_bits``
   constant or default above 24 materializes gigabyte-scale batch lanes,
-  outside the memory model the autotuner
-  (:class:`repro.cuts.autotune.BatchAutotuner`) is allowed to assume.
+  far beyond the enumeration kernel's block-size constant
+  (:data:`repro.cuts.enumerate_exact._BLOCK_BITS`, ``2^16`` masks).
 
 Scope: the declared hot-path modules (``LintConfig.hot_paths``), same as
 RL003.  Suppress with
@@ -135,6 +135,7 @@ class ComplexityBudgetRule(Rule):
                         path, value.lineno, value.col_offset, self.rule_id,
                         f"batch exponent {name}={v} exceeds the complexity "
                         f"budget's ceiling of {_MAX_BATCH_BITS} (2^{v} int64 "
-                        f"lane elements per batch); let the autotuner size "
-                        f"batches or stay within the memory model",
+                        f"lane elements per batch); size blocks like the "
+                        f"enumeration kernel's _BLOCK_BITS constant or stay "
+                        f"within the memory model",
                     )

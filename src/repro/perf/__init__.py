@@ -1,4 +1,4 @@
-"""Performance layer: symmetry-aware caching and batched-kernel tuning.
+"""Performance layer: symmetry-aware caching over the batched kernels.
 
 Three pieces, built on the paper's own machinery:
 
@@ -7,9 +7,8 @@ Three pieces, built on the paper's own machinery:
   instances share cache keys and witnesses transport between them;
 * :mod:`repro.perf.cache` — :class:`SolverCache`, the atomic on-disk
   store memoizing cut profiles and bound certificates across runs;
-* :mod:`repro.cuts.autotune` (re-exported here) — the adaptive batch
-  sizing that keeps the exhaustive kernels inside the documented
-  O(E)-vector-ops-per-batch complexity budget.
+* :mod:`repro.cuts.autotune` (re-exported here) — the versioned batch
+  contract of the exhaustive kernels and the pin-sweep chunk sizing.
 
 :func:`cached_cut_profile` is the convenience entry point combining the
 first two with :func:`repro.cuts.enumerate_exact.cut_profile`.
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cuts.autotune import BATCH_CONTRACT_VERSION, BatchAutotuner, pin_chunk_count
+from ..cuts.autotune import BATCH_CONTRACT_VERSION, pin_chunk_count
 from ..cuts.enumerate_exact import CutProfile, cut_profile
 from ..obs import incr
 from ..topology.base import Network
@@ -35,7 +34,6 @@ from .canonical import (
 
 __all__ = [
     "BATCH_CONTRACT_VERSION",
-    "BatchAutotuner",
     "CanonicalForm",
     "PROFILE_SOLVER",
     "SolverCache",

@@ -1,10 +1,9 @@
-"""Batch autotuner: memory model, latency adaptation, and bit-identity.
+"""The batch contract: pin-sweep chunk sizing and grid bit-identity.
 
-The adaptive batch size may never change *what* the sweep computes — the
-profile fold is an elementwise minimum and the witness rule picks the
-globally lowest achieving mask — so autotuned and fixed-size runs must be
-bit-identical.  The tuner's decisions themselves are tested with an
-injected clock so no test depends on wall time.
+The block grid may never change *what* the sweep computes — the profile
+fold is an elementwise minimum and the witness rule picks the globally
+lowest achieving mask — so the default block grid and any fixed grid
+must be bit-identical.
 """
 
 from __future__ import annotations
@@ -12,60 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cuts import cut_profile
-from repro.cuts.autotune import (
-    BATCH_CONTRACT_VERSION,
-    BatchAutotuner,
-    pin_chunk_count,
-)
-from repro.obs import collecting
-
-
-class TestInitialBits:
-    def test_clamped_to_max_for_light_instances(self):
-        tuner = BatchAutotuner(edges=8, memory_budget=1 << 30)
-        assert tuner.initial_bits() == tuner.max_bits
-
-    def test_memory_budget_caps_the_exponent(self):
-        # 4 int64 lanes of 2^bits entries must fit the budget:
-        # 2^12 * 4 * 8 = 2^17 bytes exactly.
-        tuner = BatchAutotuner(edges=8, memory_budget=1 << 17)
-        assert tuner.initial_bits() == 12
-
-    def test_heavy_edge_arrays_start_lower(self):
-        light = BatchAutotuner(edges=64).initial_bits()
-        heavy = BatchAutotuner(edges=64 * 4**3).initial_bits()
-        assert heavy == light - 3
-
-    def test_never_below_min_bits(self):
-        tuner = BatchAutotuner(edges=1 << 30, memory_budget=1)
-        assert tuner.initial_bits() == tuner.min_bits
-
-
-class TestAdaptation:
-    def test_fast_batches_grow(self):
-        tuner = BatchAutotuner(edges=8)
-        assert tuner.next_bits(12, elapsed=0.001) == 13
-
-    def test_slow_batches_shrink(self):
-        tuner = BatchAutotuner(edges=8)
-        assert tuner.next_bits(12, elapsed=1.0) == 11
-
-    def test_in_window_holds(self):
-        tuner = BatchAutotuner(edges=8)
-        assert tuner.next_bits(12, elapsed=0.1) == 12
-
-    def test_clamps(self):
-        tuner = BatchAutotuner(edges=8, min_bits=10, max_bits=14)
-        assert tuner.next_bits(14, elapsed=0.001) == 14
-        assert tuner.next_bits(10, elapsed=9.9) == 10
-
-    def test_adjustments_are_counted(self):
-        tuner = BatchAutotuner(edges=8)
-        with collecting() as col:
-            tuner.next_bits(12, elapsed=0.001)
-            tuner.next_bits(12, elapsed=0.1)
-        assert col.counters["perf.autotune.adjustments"] == 1
-        assert col.gauges["perf.autotune.batch_bits"] == 13
+from repro.cuts.autotune import BATCH_CONTRACT_VERSION, pin_chunk_count
 
 
 class TestPinChunks:
@@ -85,11 +31,11 @@ class TestPinChunks:
 
 
 class TestBitIdentity:
-    def test_autotuned_profile_matches_fixed(self, w4):
-        fixed = cut_profile(w4, batch_bits=4)
-        auto = cut_profile(w4)  # batch_bits=None -> autotuned
-        np.testing.assert_array_equal(auto.values, fixed.values)
-        np.testing.assert_array_equal(auto.witnesses, fixed.witnesses)
+    def test_default_block_matches_fixed_grid(self, w4):
+        fixed = cut_profile(w4, batch_bits=4)  # below the low split
+        default = cut_profile(w4)  # batch_bits=None -> the block constant
+        np.testing.assert_array_equal(default.values, fixed.values)
+        np.testing.assert_array_equal(default.witnesses, fixed.witnesses)
 
     def test_any_two_grids_agree(self, b4):
         a = cut_profile(b4, batch_bits=3)

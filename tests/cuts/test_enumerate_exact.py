@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.cuts import Cut, cut_profile, min_bisection, min_u_bisection
+from repro.cuts.enumerate_exact import (
+    _complement_fold,
+    enumeration_shards,
+    shard_minima,
+)
+from repro.obs import collecting
+from repro.resilience import Budget
 from repro.topology import Network, butterfly, complete_graph
+from repro.topology.fabric import fat_tree
 
 
 def path_graph(n):
@@ -214,3 +222,161 @@ class TestFingerprint:
         assert prof.complete
         assert np.array_equal(prof.values, fresh.values)
         assert np.array_equal(prof.witnesses, fresh.witnesses)
+
+
+def reference_minima(net, counted, lo, hi):
+    """Per-mask scan of ``[lo, hi)`` in pure Python: the kernel's oracle.
+
+    Node ``n-1`` is pinned to S̄; per counted size the lowest achieving
+    mask wins.  Returns the pre-fold ``(values, masks)`` lists.
+    """
+    edges = [(int(u), int(v)) for u, v in net.edges]
+    counted = [int(v) for v in counted]
+    values = [np.iinfo(np.int64).max] * (len(counted) + 1)
+    masks = [0] * (len(counted) + 1)
+    for mask in range(lo, hi):
+        cap = sum(((mask >> u) ^ (mask >> v)) & 1 for u, v in edges)
+        c = sum((mask >> v) & 1 for v in counted)
+        if cap < values[c]:
+            values[c], masks[c] = cap, mask
+    return values, masks
+
+
+def reference_profile(net, counted):
+    """The whole sweep, then each entry takes its mirrored entry
+    (complemented witness) when that is strictly smaller."""
+    n = net.num_nodes
+    values, masks = reference_minima(net, counted, 0, 1 << (n - 1))
+    m = len(values) - 1
+    full = (1 << n) - 1
+    folded = [
+        (values[m - c], masks[m - c] ^ full)
+        if values[m - c] < values[c] else (values[c], masks[c])
+        for c in range(m + 1)
+    ]
+    return [v for v, _ in folded], [w for _, w in folded]
+
+
+def random_multigraph(n, edges, seed):
+    """Seeded self-loop-free multigraph (parallel edges allowed)."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while n > 1 and len(pairs) < edges:
+        u, v = (int(x) for x in rng.integers(n, size=2))
+        if u != v:
+            pairs.append((u, v))
+    return Network(range(n), pairs, name=f"M{n}.{seed}")
+
+
+def assert_matches_reference(prof, net, counted):
+    values, witnesses = reference_profile(net, counted)
+    assert prof.complete
+    assert prof.values.tolist() == values
+    assert [int(w) for w in prof.witnesses] == witnesses
+
+
+class TestReferenceOracle:
+    """The block kernel equals per-mask enumeration, witnesses included."""
+
+    @pytest.mark.parametrize("batch_bits", [None, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 13, 17])
+    def test_node_counts_around_the_split(self, n, batch_bits):
+        # n = 1 and 2 leave k or h empty; 13 and 17 have both halves
+        # under the default split and under a 3-bit cap.
+        net = random_multigraph(n, 2 * n, seed=n)
+        prof = cut_profile(net, batch_bits=batch_bits)
+        assert_matches_reference(prof, net, np.arange(n))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_counted_subsets(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_multigraph(13, 30, seed=100 + seed)
+        counted = np.sort(rng.choice(13, size=int(rng.integers(1, 13)),
+                                     replace=False))
+        prof = cut_profile(net, counted=counted)
+        assert_matches_reference(prof, net, counted)
+
+    def test_fat_tree_multi_edges(self):
+        net = fat_tree(3)  # 15 nodes, doubling parallel-edge bundles
+        assert len({tuple(e) for e in net.edges.tolist()}) < net.num_edges
+        assert_matches_reference(cut_profile(net), net, np.arange(15))
+        leaves = net.leaves()
+        assert_matches_reference(
+            cut_profile(net, counted=leaves), net, leaves
+        )
+
+    def test_heavy_multigraph(self):
+        net = random_multigraph(11, 200, seed=7)
+        assert_matches_reference(cut_profile(net), net, np.arange(11))
+
+
+def _merge_shards(net, counted, ranges, batch_bits=None):
+    """Ascending strict-``<`` merge of shard pre-fold states, then fold."""
+    m = len(counted)
+    best = np.full(m + 1, np.iinfo(np.int64).max, dtype=np.int64)
+    best_mask = np.zeros(m + 1, dtype=np.uint64)
+    for lo, hi in ranges:
+        shard, shard_mask = shard_minima(
+            net.edges, counted, lo, hi, batch_bits=batch_bits
+        )
+        better = shard < best
+        best[better] = shard[better]
+        best_mask[better] = shard_mask[better]
+    return _complement_fold(best, best_mask, net.num_nodes)
+
+
+class TestShardsResumeBudget:
+    """Unaligned shards, cross-grid resumes and budget caps stay bit-identical."""
+
+    @pytest.mark.parametrize("batch_bits", [None, 5])
+    @pytest.mark.parametrize("shards", [3, 7])
+    def test_unaligned_shards_merge_to_serial(self, shards, batch_bits):
+        net = random_multigraph(15, 24, seed=3)
+        counted = np.arange(15)
+        ranges = enumeration_shards(net, shards)
+        assert any(lo % (1 << 10) for lo, _ in ranges)  # unaligned
+        values, masks = _merge_shards(net, counted, ranges, batch_bits)
+        serial = cut_profile(net)
+        np.testing.assert_array_equal(values, serial.values)
+        np.testing.assert_array_equal(masks, serial.witnesses)
+
+    @pytest.mark.parametrize("batch_bits", [None, 5])
+    def test_each_shard_covers_exactly_its_range(self, batch_bits):
+        # Masks outside [lo, hi) in a shard's partial edge columns must
+        # not leak into its pre-fold state.
+        net = random_multigraph(13, 24, seed=4)
+        counted = np.arange(13)
+        for lo, hi in enumeration_shards(net, 7):
+            values, masks = shard_minima(
+                net.edges, counted, lo, hi, batch_bits=batch_bits
+            )
+            ref_values, ref_masks = reference_minima(net, counted, lo, hi)
+            assert values.tolist() == ref_values
+            assert [int(w) for w in masks] == ref_masks
+
+    def test_small_grid_checkpoint_resumes_under_default_blocks(self, tmp_path):
+        net = random_multigraph(14, 28, seed=5)
+        ck = tmp_path / "profile.json"
+        partial = cut_profile(net, budget=Budget(6.5, clock=_PollClock()),
+                              checkpoint=ck, batch_bits=6)
+        assert not partial.complete
+        resumed = cut_profile(net, checkpoint=ck)
+        serial = cut_profile(net)
+        assert resumed.complete
+        np.testing.assert_array_equal(resumed.values, serial.values)
+        np.testing.assert_array_equal(resumed.witnesses, serial.witnesses)
+
+    def test_budget_cap_below_the_low_split(self):
+        net = random_multigraph(13, 26, seed=9)
+        bits = 3
+        with collecting() as col:
+            capped = cut_profile(net, budget=Budget(None, max_batch_bits=bits))
+        span = next(s for s in col.spans if s["name"] == "cuts.enumerate")
+        assert span["attrs"]["block_bits"] == bits
+        assert span["attrs"]["low_bits"] <= bits
+        batches = col.counters["cuts.enumerate.batches"]
+        assert batches == (1 << 12) >> bits  # every block holds 2^bits masks
+        assert col.counters["cuts.enumerate.cuts_evaluated"] == 1 << 12
+        serial = cut_profile(net)
+        np.testing.assert_array_equal(capped.values, serial.values)
+        np.testing.assert_array_equal(capped.witnesses, serial.witnesses)
