@@ -149,7 +149,7 @@ def _family_network(family: str, n: int, dims: int = 2):
 
 
 def _cmd_bisection(args: argparse.Namespace) -> int:
-    from .core import (
+    from .core.bisection import (
         butterfly_bisection_width, wrapped_bisection_width, ccc_bisection_width,
         torus_bisection_width, mesh_bisection_width, fat_tree_bisection_width,
         flattened_butterfly_bisection_width,
@@ -170,7 +170,7 @@ def _cmd_bisection(args: argparse.Namespace) -> int:
 
 
 def _cmd_expansion(args: argparse.Namespace) -> int:
-    from .core import edge_expansion, node_expansion
+    from .core.expansion_api import edge_expansion, node_expansion
     from .topology import Butterfly
 
     bf = Butterfly(args.n, wraparound=args.family == "wn")
@@ -204,7 +204,7 @@ def _resolve_cache_dir(args: argparse.Namespace) -> str | None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from .core import solve_with_fallback
+    from .core.fallback import solve_with_fallback
     from .resilience import Budget
 
     net = _family_network(args.family, args.n, getattr(args, "dims", 2))
@@ -827,7 +827,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_claims(args: argparse.Namespace) -> int:
-    from .core import REGISTRY
+    from .core.theorems import REGISTRY
 
     ids = args.ids or list(REGISTRY)
     failed = 0

@@ -44,7 +44,6 @@ from ..cuts.fiduccia_mattheyses import fm_bisection
 from ..cuts.kernighan_lin import kernighan_lin_bisection
 from ..cuts.layered_dp import layered_cut_profile
 from ..cuts.spectral import spectral_bisection
-from ..dist import distributed_cut_profile
 from ..obs import annotate, incr, trace
 from ..perf.cache import SolverCache
 from ..resilience.budget import Budget
@@ -282,6 +281,8 @@ def _run_cascade(
             cached = prof is not None
             if prof is None and distributed:
                 import tempfile
+
+                from ..dist import distributed_cut_profile
 
                 with tempfile.TemporaryDirectory() as scratch:
                     prof = distributed_cut_profile(

@@ -15,7 +15,6 @@ matrix between boundary candidates) is evaluated with dense NumPy blocks.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from ..resilience.budget import Budget
 from ..topology.base import Network
@@ -25,6 +24,8 @@ __all__ = ["kernighan_lin_bisection", "kl_refine"]
 
 
 def _adjacency(net: Network):
+    from scipy.sparse import coo_matrix
+
     n = net.num_nodes
     e = net.edges
     data = np.ones(len(e), dtype=np.int64)

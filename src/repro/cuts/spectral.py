@@ -11,8 +11,6 @@ benchmark (DESIGN.md, ABL) quantifies against the exact DP values.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import eigsh
 
 from ..resilience.budget import Budget
 from ..topology.base import Network
@@ -23,6 +21,8 @@ __all__ = ["fiedler_vector", "spectral_bisection"]
 
 
 def _laplacian(net: Network):
+    from scipy.sparse import coo_matrix
+
     n = net.num_nodes
     e = net.edges
     data = np.ones(len(e), dtype=np.float64)
@@ -40,6 +40,8 @@ def _laplacian(net: Network):
 
 def fiedler_vector(net: Network, seed: int = 0) -> np.ndarray:
     """The eigenvector of the Laplacian's second-smallest eigenvalue."""
+    from scipy.sparse.linalg import eigsh
+
     n = net.num_nodes
     if n < 3:
         return np.arange(n, dtype=np.float64)

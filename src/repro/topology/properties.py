@@ -15,8 +15,6 @@ The paper records several structural facts we verify computationally:
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .base import Network
 from .butterfly import Butterfly
@@ -32,6 +30,9 @@ __all__ = [
 
 
 def _distance_matrix(net: Network) -> np.ndarray:
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     n = net.num_nodes
     e = net.edges
     data = np.ones(len(e), dtype=np.int8)
