@@ -6,8 +6,9 @@ cyclic case of :mod:`repro.cuts.layered_dp` pins the first layer's
 mask and sweeps once per pin — ``2^w`` completely independent sweeps, the
 textbook embarrassingly parallel loop (the mpi4py guide's pattern, realized
 with :mod:`multiprocessing` since this environment ships no MPI).  The
-cost tables are computed once in the parent and shipped to workers through
-a pool initializer, so each task carries only its pin range.
+factored transfer tables are computed once in the parent and shipped to
+workers through a pool initializer, so each task carries only its pin
+range.
 
 The pool is *supervised* (:mod:`repro.resilience.supervise`): a crashed or
 hung worker is detected by a per-task timeout, its pin range is retried
@@ -38,41 +39,24 @@ from ..resilience.faults import maybe_crash
 from ..resilience.supervise import RetryPolicy, SupervisionReport, supervised_map
 from ..topology.base import Network
 from .autotune import BATCH_CONTRACT_VERSION, pin_chunk_count, sweep_ranges
-from .layered_dp import (
-    _classify_edges,
-    _counted_popcounts,
-    _inter_cost,
-    _intra_cost,
-    _layer_positions,
-    _sweep,
-    _INF,
-)
+from .layered_dp import _INF, _fold, _forward, _tables
 
 __all__ = ["parallel_cyclic_profile"]
 
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(Ts, intras, cnts, C, fault_token=None):
-    _WORKER_STATE["Ts"] = Ts
-    _WORKER_STATE["intras"] = intras
-    _WORKER_STATE["cnts"] = cnts
-    _WORKER_STATE["C"] = C
+def _init_worker(tabs, fault_token=None):
+    _WORKER_STATE["tabs"] = tabs
     _WORKER_STATE["fault_token"] = fault_token
 
 
 def _run_pins(pin_range: tuple[int, int]) -> np.ndarray:
     maybe_crash(_WORKER_STATE.get("fault_token"))
-    Ts = _WORKER_STATE["Ts"]
-    intras = _WORKER_STATE["intras"]
-    cnts = _WORKER_STATE["cnts"]
-    C = _WORKER_STATE["C"]
-    best = np.full(C + 1, _INF, dtype=np.int64)
+    tabs = _WORKER_STATE["tabs"]
+    best = np.full(tabs.C + 1, _INF, dtype=np.int64)
     for pin in range(*pin_range):
-        f, _parents = _sweep(Ts, intras, cnts, C, pin_first=pin)
-        closure = Ts[-1][:, pin] if len(Ts) else None
-        total = f if closure is None else f + closure[:, None]
-        np.minimum(best, total.min(axis=0), out=best)
+        _fold(tabs, _forward(tabs, pin), pin, best)
     return best
 
 
@@ -131,16 +115,7 @@ def parallel_cyclic_profile(
         counted = np.arange(net.num_nodes, dtype=np.int64)
     counted = np.asarray(counted, dtype=np.int64)
     C = len(counted)
-    L = len(layers)
-
-    layer_id, position = _layer_positions(net, layers)
-    intra_pairs, inter_pairs = _classify_edges(net, layers, True, layer_id, position)
-    intras = [_intra_cost(p, w) for p, w in zip(intra_pairs, widths)]
-    Ts = [
-        _inter_cost(inter_pairs[l], widths[l], widths[(l + 1) % L])
-        for l in range(len(inter_pairs))
-    ]
-    cnts = _counted_popcounts(counted, layers, layer_id, position)
+    tabs = _tables(net, layers, True, counted)
 
     num_pins = 1 << widths[0]
     if workers is None:
@@ -198,7 +173,7 @@ def parallel_cyclic_profile(
                 todo,
                 workers=workers,
                 initializer=_init_worker,
-                initargs=(Ts, intras, cnts, C, fault_token),
+                initargs=(tabs, fault_token),
                 policy=policy,
                 budget=budget,
                 on_result=_merge,

@@ -33,7 +33,6 @@ class TestCorrectness:
         par = parallel_cyclic_profile(w4, counted=counted, workers=2)
         assert np.array_equal(serial, par)
 
-    @pytest.mark.slow
     def test_w8_matches_serial(self, w8):
         serial = layered_cut_profile(w8, with_witnesses=False).values
         par = parallel_cyclic_profile(w8, workers=4)
