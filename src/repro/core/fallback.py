@@ -18,14 +18,6 @@ fails along the way:
 * the final tier is free: ``0 <= BW(G) <= |E|`` holds unconditionally, so
   even a budget that expired before the call yields a sound certificate.
 
-With ``shards`` set, tier 1 runs *distributed*: the lease-coordinated
-multi-process sweep of :mod:`repro.dist`, whose merged profile is
-bit-identical to the serial one whenever it completes — so the tier's
-exactness contract is unchanged even when workers crash mid-sweep — and
-whose completed-shard union is still a certified upper bound when it
-does not.  The shard event journal (claims, reclaims, quarantines)
-lands in the certificate's evidence notes as provenance.
-
 The certificate's evidence strings name the tier that produced each side
 and why earlier tiers were skipped or truncated, so a reader can tell an
 exact answer (e.g. one usable against Theorem 2.20's interval) from a
@@ -74,10 +66,6 @@ def solve_with_fallback(
     enum_limit: int = _ENUM_LIMIT,
     bb_limit: int = _BB_LIMIT,
     dp_width_limit: int = _DP_WIDTH_LIMIT,
-    shards: int | None = None,
-    dist_state: str | None = None,
-    dist_workers: int | None = None,
-    dist_telemetry: str | None = None,
 ) -> BoundCertificate:
     """Certified ``BW(net)`` by the exact-to-heuristic degradation cascade.
 
@@ -109,25 +97,6 @@ def solve_with_fallback(
         (counted as ``perf.cache.bypass``).
     enum_limit, bb_limit, dp_width_limit:
         Applicability thresholds of tiers 1–3.
-    shards:
-        ``None`` (the default) runs tier 1 serially.  A value ``> 1``
-        runs tier 1 as the lease-coordinated distributed sweep
-        (:func:`repro.dist.distributed_cut_profile`) with this many
-        shards; the result — exact or partial — is bit-identical to
-        what the serial sweep would produce over the same covered
-        ranges, so every downstream guarantee is unchanged.
-    dist_state:
-        Coordinator state directory for the distributed tier; ``None``
-        uses a fresh temporary directory (correct, but a crash of the
-        *parent* then cannot resume).  Point it somewhere durable to
-        make distributed runs resumable.
-    dist_workers:
-        Fleet size for the distributed tier (default 2).
-    dist_telemetry:
-        Optional fleet-telemetry directory for the distributed tier (see
-        :func:`repro.dist.distributed_cut_profile`); shard files and the
-        merged timeline land there, and a traced run's manifest gains a
-        ``telemetry`` pointer block.
     """
     with trace("solve.fallback", network=net.name, nodes=net.num_nodes):
         return _run_cascade(
@@ -135,8 +104,6 @@ def solve_with_fallback(
             cache=SolverCache(cache) if isinstance(cache, (str,)) else cache,
             enum_limit=enum_limit, bb_limit=bb_limit,
             dp_width_limit=dp_width_limit,
-            shards=shards, dist_state=dist_state, dist_workers=dist_workers,
-            dist_telemetry=dist_telemetry,
         )
 
 
@@ -149,10 +116,6 @@ def _run_cascade(
     enum_limit: int,
     bb_limit: int,
     dp_width_limit: int,
-    shards: int | None = None,
-    dist_state: str | None = None,
-    dist_workers: int | None = None,
-    dist_telemetry: str | None = None,
 ) -> BoundCertificate:
     """The cascade body (Theorem 2.20's solvers, tiered)."""
     # Imported at call time: verify.checker re-derives the paper claims
@@ -248,11 +211,7 @@ def _run_cascade(
         witness = cut
         return _certificate()
 
-    # Tier 1: exhaustive enumeration — serial, or the lease-coordinated
-    # distributed sweep when the caller asked for shards.  Both paths
-    # produce the same bits (values and witnesses), so everything below
-    # this block is agnostic to which one ran.
-    distributed = shards is not None and int(shards) > 1
+    # Tier 1: exhaustive enumeration.
     if n > enum_limit:
         incr("solve.tiers_skipped")
         notes.append(
@@ -263,9 +222,7 @@ def _run_cascade(
         notes.append("tier-1 exhaustive enumeration skipped: budget expired")
     else:
         incr("solve.tiers_run")
-        dist_status: dict = {}
-        with trace("solve.tier1.enumeration", network=net.name,
-                   distributed=distributed):
+        with trace("solve.tier1.enumeration", network=net.name):
             prof = (
                 cache.get_profile(net, version=BATCH_CONTRACT_VERSION)
                 if cache is not None else None
@@ -278,53 +235,20 @@ def _run_cascade(
                     "tier-1 cached profile rejected by the independent checker"
                 )
                 prof = None
-            cached = prof is not None
-            if prof is None and distributed:
-                import tempfile
-
-                from ..dist import distributed_cut_profile
-
-                with tempfile.TemporaryDirectory() as scratch:
-                    prof = distributed_cut_profile(
-                        net,
-                        state_dir=dist_state if dist_state else scratch,
-                        shards=int(shards),
-                        workers=int(dist_workers) if dist_workers else 2,
-                        budget=budget,
-                        status=dist_status,
-                        telemetry=dist_telemetry,
-                    )
-                ev = dist_status.get("events", {})
-                # Shard history as certificate provenance: how the
-                # answer was assembled, including what had to be stolen
-                # back from dead workers.
-                notes.append(
-                    "tier-1 shard history: "
-                    f"{dist_status.get('counts', {}).get('done', 0)}/"
-                    f"{dist_status.get('shards', 0)} shards done, "
-                    f"{ev.get('claims', 0)} claims, "
-                    f"{ev.get('reclaims', 0)} reclaims, "
-                    f"{ev.get('quarantined', 0)} quarantined, "
-                    f"{dist_status.get('workers_killed', 0)} workers lost"
-                )
-            elif prof is None:
+            if prof is None:
                 prof = cut_profile(net, budget=budget, checkpoint=checkpoint)
-            if cache is not None and prof.complete and not cached:
-                cache.put_profile(net, prof, version=BATCH_CONTRACT_VERSION)
-        label = (
-            f"distributed enumeration ({int(shards)} shards)"
-            if distributed and not cached else "exhaustive enumeration"
-        )
+                if cache is not None and prof.complete:
+                    cache.put_profile(net, prof, version=BATCH_CONTRACT_VERSION)
         c = _bisection_count(prof.values, n)
         w = int(prof.values[c])
         if prof.complete:
             return _exact(
-                w, f"tier-1 {label} (exact)", prof.witness_cut(c)
+                w, "tier-1 exhaustive enumeration (exact)", prof.witness_cut(c)
             )
         incr("solve.tiers_truncated")
         if w < _INT64_MAX and w < upper:
             upper = w
-            upper_ev = f"tier-1 {label} (partial profile)"
+            upper_ev = "tier-1 exhaustive enumeration (partial profile)"
             witness = prof.witness_cut(c)
         notes.append(
             "tier-1 truncated: budget expired mid-sweep; partial profile "

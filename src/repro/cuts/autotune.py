@@ -9,7 +9,7 @@ vectorized min-plus sweep per pin.  Grid boundaries never affect
 results: the profile fold is an elementwise minimum (associative,
 commutative) and the witness rule "first strictly better wins" selects
 the globally lowest achieving mask under any ascending grid, so a resume
-under a different grid — or a shard table from :func:`sweep_ranges` — is
+under a different grid — or a chunk table from :func:`sweep_ranges` — is
 bit-identical to an uninterrupted sweep.  The batch contract itself is
 versioned (:data:`BATCH_CONTRACT_VERSION`) and folded into checkpoint
 and cache fingerprints; lint rule RL008 (see ``docs/lint.md``)
@@ -60,14 +60,11 @@ def pin_chunk_count(
 def sweep_ranges(total: int, chunks: int) -> list[tuple[int, int]]:
     """Split ``[0, total)`` into at most ``chunks`` contiguous ranges.
 
-    The shared shard/chunk grid emitter for every exhaustive sweep: the
-    parallel pin sweep's task list, the distributed coordinator's shard
-    table (:mod:`repro.dist`), and the chaos harness all partition work
-    through this one function, so a shard id maps to the same half-open
-    range everywhere.  The grid is an integer ``linspace`` — near-equal
-    ranges, empty ones dropped — and, like every grid in the batch
-    contract, never affects results: folds are elementwise minima and the
-    witness rule is grid-independent.
+    The chunk grid of the parallel pin sweep's task list
+    (:mod:`repro.cuts.parallel`).  The grid is an integer ``linspace`` —
+    near-equal ranges, empty ones dropped — and, like every grid in the
+    batch contract, never affects results: folds are elementwise minima
+    and the witness rule is grid-independent.
     """
     if total <= 0 or chunks <= 0:
         return []

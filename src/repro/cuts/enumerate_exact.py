@@ -36,16 +36,14 @@ from ..obs import incr, trace
 from ..resilience.budget import Budget
 from ..resilience.checkpoint import CheckpointStore, RangeLedger, as_store
 from ..topology.base import Network
-from .autotune import BATCH_CONTRACT_VERSION, sweep_ranges
+from .autotune import BATCH_CONTRACT_VERSION
 from .cut import Cut
 
 __all__ = [
     "CutProfile",
     "cut_profile",
-    "enumeration_shards",
     "min_bisection",
     "min_u_bisection",
-    "shard_minima",
 ]
 
 _MAX_NODES = 28
@@ -192,18 +190,16 @@ class _SplitKernel:
     ) -> int:
         """Fold the mask range ``[start, stop)`` into ``best``/``best_mask``.
 
-        The one kernel every exhaustive sweep shares — the serial
-        :func:`cut_profile` loop, the distributed shard workers
-        (:func:`shard_minima`) and the chaos harness — so their pre-fold
-        states are bit-identical by construction.  The range may be
-        unaligned: low masks outside it in its first and last columns are
-        masked to ``+inf``.  Within a block the lowest achieving mask
+        ``start`` and ``stop`` must be multiples of ``2^k``, so the range
+        is whole columns of low masks: :func:`cut_profile` passes blocks
+        aligned to ``2^bits >= 2^k`` of a ``2^(n-1)`` mask space, which
+        ``2^bits`` divides.  Within a block the lowest achieving mask
         wins each counted size; across blocks the update is strict
         ``<``, so under any ascending grid the surviving witness is the
         lowest achieving mask.  Returns the number of masks evaluated.
         """
         k, h = self.k, self.h
-        his = np.arange(start >> k, ((stop - 1) >> k) + 1, dtype=np.int64)
+        his = np.arange(start >> k, stop >> k, dtype=np.int64)
         ybits = (his[:, None] >> np.arange(h)) & 1
         y = ybits.astype(self.dtype)
         yl = y @ self.high
@@ -212,12 +208,6 @@ class _SplitKernel:
         rhs[k] = 1.0
         rhs[k + 1] = (yl[:, :h] * y).sum(axis=1)
         cap = self.lhs @ rhs
-        first_low = start - (int(his[0]) << k)
-        last_end = stop - (int(his[-1]) << k)
-        if first_low:
-            cap[self.rows < first_low, 0] = np.inf
-        if last_end < 1 << k:
-            cap[self.rows >= last_end, -1] = np.inf
         cnt_high = ybits @ self.weight_high
         cols = np.arange(len(his))
         sizes, values, masks = [], [], []
@@ -226,11 +216,9 @@ class _SplitKernel:
             values.append(cap[r0 + idx, cols])
             masks.append((his << k) | self.rows[r0 + idx])
             sizes.append(cnt_high + a)
-        value = np.concatenate(values)
-        keep = value < np.inf
-        value = value[keep].astype(np.int64)
-        mask = np.concatenate(masks)[keep]
-        size = np.concatenate(sizes)[keep]
+        value = np.concatenate(values).astype(np.int64)
+        mask = np.concatenate(masks)
+        size = np.concatenate(sizes)
         order = np.lexsort((mask, value, size))
         size, value, mask = size[order], value[order], mask[order]
         lead = np.r_[True, size[1:] != size[:-1]]
@@ -249,8 +237,8 @@ def _complement_fold(
     Pinning node ``n-1`` to S̄ visits each unordered partition once, but
     labels sides; a cut with ``c`` counted in ``S`` is also a cut with
     ``m - c`` counted in ``S``.  Fold the symmetric entry in — exactly
-    once, on the final merged profile, for shard/checkpoint resumes to
-    stay bit-identical.
+    once, on the final profile, for checkpoint resumes to stay
+    bit-identical.
     """
     best = best.copy()
     best_mask = best_mask.copy()
@@ -262,81 +250,6 @@ def _complement_fold(
         if best[cc] < best[c]:
             best[c] = best[cc]
             best_mask[c] = best_mask[cc] ^ full
-    return best, best_mask
-
-
-def enumeration_shards(
-    net: Network, shards: int
-) -> list[tuple[int, int]]:
-    """Shard-granular ranges over the ``2^{N-1}`` enumeration mask space.
-
-    The distributed coordinator (:mod:`repro.dist`) leases exactly these
-    half-open ranges; ``shards`` is a ceiling (tiny spaces yield fewer).
-    The grid is deterministic in ``(net.num_nodes, shards)`` so every
-    worker, and any resumed coordinator keyed to the same computation,
-    derives an identical shard table.
-    """
-    n = net.num_nodes
-    if n > _MAX_NODES:
-        raise ValueError(
-            f"exhaustive enumeration is limited to {_MAX_NODES} nodes; "
-            f"{net.name} has {n}"
-        )
-    if n == 0:
-        return []
-    return sweep_ranges(1 << (n - 1), shards)
-
-
-def shard_minima(
-    edges: np.ndarray,
-    counted: np.ndarray,
-    lo: int,
-    hi: int,
-    *,
-    batch_bits: int | None = None,
-    on_batch=None,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Pre-fold partial profile of the mask range ``[lo, hi)``.
-
-    The shard worker kernel: computes, in ascending vectorized batches,
-    the minimum capacity (and lowest witness mask) per counted-side size
-    over exactly this range — the unit of work a
-    :class:`~repro.dist.coordinator.ShardCoordinator` lease covers.  The
-    returned arrays are *pre-fold* running state (no complement closure):
-    the coordinator folds completed shards in ascending-``lo`` order and
-    applies :func:`_complement_fold` once at the end, which is what makes
-    the merged profile bit-identical to an uninterrupted serial sweep.
-
-    Parameters
-    ----------
-    edges:
-        ``(E, 2)`` edge array of the instance.
-    counted:
-        Counted node indices (``U``).
-    on_batch:
-        Optional callback invoked after every batch with the end of the
-        completed prefix; returning ``False`` abandons the shard (the
-        worker lost its lease or its budget) and ``None`` is returned.
-    batch_bits:
-        Optional log2 ceiling on the masks per block (the block grid is
-        :data:`_BLOCK_BITS`, aligned to multiples of its size).
-    """
-    bits = _block_bits(batch_bits)
-    # Every mask of [lo, hi) fits in hi's bit length; higher nodes, the
-    # pinned one among them, sit on S̄ throughout.
-    kernel = _SplitKernel(edges, counted, max(int(hi) - 1, 0).bit_length(), bits)
-    m = len(counted)
-    inf = np.iinfo(np.int64).max
-    best = np.full(m + 1, inf, dtype=np.int64)
-    best_mask = np.zeros(m + 1, dtype=np.uint64)
-    start = int(lo)
-    # repro-lint: disable=RL010 -- the budget is polled through on_batch: every caller's callback checks its Budget (and the lease heartbeat) each batch, returning False to abandon
-    while start < int(hi):
-        stop = min(((start >> bits) + 1) << bits, int(hi))
-        kernel.fold(start, stop, best, best_mask)
-        start = stop
-        if on_batch is not None and on_batch(start) is False:
-            return None
     return best, best_mask
 
 

@@ -41,10 +41,6 @@ DEFAULT_LAYER_DAG: dict[str, frozenset[str]] = {
     # solver stack through further module-granular exceptions.  No solver
     # package may depend on verify (see also RL009).
     "verify": frozenset({"topology", "obs"}),
-    # Distributed coordination: shard workers drive the cuts kernels under
-    # resilience primitives.  Deliberately verify-free (RL009): callers
-    # certify distributed results, dist only produces them.
-    "dist": frozenset({"topology", "cuts", "resilience", "obs"}),
     "embeddings": frozenset({"topology"}),
     "routing": frozenset({"topology", "obs"}),
     "expansion": frozenset({"topology", "cuts", "routing"}),
@@ -52,7 +48,7 @@ DEFAULT_LAYER_DAG: dict[str, frozenset[str]] = {
     "core": frozenset(
         {
             "topology", "cuts", "embeddings", "expansion", "routing",
-            "analysis", "resilience", "obs", "perf", "verify", "dist",
+            "analysis", "resilience", "obs", "perf", "verify",
         }
     ),
     "io": frozenset({"topology", "cuts", "core"}),
@@ -68,7 +64,7 @@ DEFAULT_LAYER_DAG: dict[str, frozenset[str]] = {
         {
             "topology", "cuts", "embeddings", "expansion", "routing",
             "analysis", "core", "io", "lint", "resilience", "obs", "perf",
-            "verify", "dist", "serve",
+            "verify", "serve",
         }
     ),
     "__init__": frozenset({"topology", "core"}),
@@ -127,9 +123,7 @@ DEFAULT_BUDGET_ENTRY_POINTS: tuple[str, ...] = (
 )
 
 #: Packages whose reachable loops RL010 holds to the budget contract.
-#: ``dist`` is hot because its worker/monitor loops run unbounded sweeps:
-#: a loop there that forgets to poll its budget hangs a whole fleet.
-DEFAULT_BUDGET_HOT_PACKAGES: tuple[str, ...] = ("cuts", "routing", "dist")
+DEFAULT_BUDGET_HOT_PACKAGES: tuple[str, ...] = ("cuts", "routing")
 
 #: Method names that count as consulting a Budget (cooperative polls).
 DEFAULT_BUDGET_POLL_METHODS: tuple[str, ...] = (

@@ -6,7 +6,7 @@ the same certificate bytes, the same cache key, the same canonical
 fingerprint.  One unseeded ``default_rng()``, one ``time.time()`` folded
 into a payload, one ``list({...})`` whose order leaks into a fingerprint
 — and certificates stop comparing equal across runs or across workers,
-which is how shard merging silently corrupts results.
+which is how a parallel merge silently corrupts results.
 
 This is interprocedural taint tracking over the analysis substrate
 (:mod:`repro.lint.analysis`).  Sources (``taint_sources`` config) are

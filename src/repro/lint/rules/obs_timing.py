@@ -26,11 +26,8 @@ from ..registry import Rule, register
 
 __all__ = ["ObsTimingRule"]
 
-#: Packages whose timing should flow through obs spans.  ``dist`` joined
-#: when fleet telemetry landed: coordinator/worker hot paths now have a
-#: proper span channel (the telemetry shard files), so a raw clock there
-#: is a measurement the merged timeline never sees.
-_SCOPED_PACKAGES = frozenset({"cuts", "routing", "obs", "resilience", "dist", "serve"})
+#: Packages whose timing should flow through obs spans.
+_SCOPED_PACKAGES = frozenset({"cuts", "routing", "obs", "resilience", "serve"})
 
 _CLOCK_NAMES = frozenset(
     {"monotonic", "perf_counter", "monotonic_ns", "perf_counter_ns"}

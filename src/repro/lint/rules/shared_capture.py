@@ -6,9 +6,9 @@ mutating *looks* like shared state but is not: each worker sees a copy
 frozen at submission time, the parent's later mutations never arrive,
 and — worse — under the pool's serial-degradation fallback the same
 closure suddenly *does* share state, so results differ between the
-parallel and serial paths.  That divergence is exactly what the
-ROADMAP's distributed-shard solve cannot tolerate, and it reproduces
-only under load, never in a unit test.
+parallel and serial paths.  That divergence breaks the bit-identical
+parallel pin sweep and serve's pooled solves, and it reproduces only
+under load, never in a unit test.
 
 The extraction pass (:mod:`repro.lint.analysis.summaries`) performs a
 closure-capture escape analysis at every call to a configured pool
@@ -21,8 +21,7 @@ Module-level task functions are always clean — they have no closure,
 which is the recommended shape (pass state through arguments, merge
 through ``on_result``, which runs in the parent).
 
-Advisory (warning) severity for now, per the triage plan: the repo is
-clean, and the rule earns error status once the shard scheduler lands.
+Advisory (warning) severity: the repo is clean.
 """
 
 from __future__ import annotations

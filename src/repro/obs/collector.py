@@ -282,9 +282,9 @@ def activate(collector: Collector | None) -> Collector | None:
     """Install ``collector`` as the process-global sink; returns the old one.
 
     Unlike :func:`collecting` there is no scope and no restore — this is
-    for *worker processes* (pool initializers, dist shard workers) whose
-    collector must stay active for the life of the process and whose
-    teardown is the process exiting.  In-process code should keep using
+    for *worker processes* (pool initializers) whose collector must stay
+    active for the life of the process and whose teardown is the process
+    exiting.  In-process code should keep using
     ``with collecting(...)``.
     """
     global _ACTIVE

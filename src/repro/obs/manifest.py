@@ -146,7 +146,7 @@ def build_manifest(
     :func:`repro.core.fallback.solve_with_fallback` records;
     ``telemetry`` (the fleet-run pointer block: ``run_id``, shard file
     paths, merged timeline path) likewise defaults to the collector's
-    ``telemetry`` note, which the distributed tier records.
+    ``telemetry`` note, when a caller records one.
     """
     snap = collector.snapshot()
     if tier is None:

@@ -1,7 +1,7 @@
 """Cross-process telemetry: shard files, trace-context, the timeline merger.
 
-One fleet run — a :mod:`repro.dist` sweep, a supervised pool — is many
-processes, each with its own :class:`~repro.obs.collector.Collector`.
+One fleet run — a supervised pool, such as serve's solve workers — is
+many processes, each with its own :class:`~repro.obs.collector.Collector`.
 This module is how their observations survive the processes and fold
 into **one** coherent timeline:
 
@@ -23,7 +23,7 @@ into **one** coherent timeline:
   *set*: any order of the same files produces byte-identical output.
 
 Timestamps are absolute ``CLOCK_MONOTONIC`` readings (system-wide on
-Linux, the same property the lease protocol leans on), so spans from
+Linux), so spans from
 different processes land on one comparable time base; the merger
 normalizes everything to the earliest shard's epoch.
 
@@ -81,8 +81,8 @@ class TraceContext:
 
     ``run_id`` names the run; ``parent_span_id`` is the id of the
     parent-side span (in the ``parent`` shard file) under which this
-    worker's root spans re-parent at merge time — for a distributed
-    sweep, the coordinator's ``dist.run`` span.
+    worker's root spans re-parent at merge time — for a served run, the
+    server's ``serve.run`` span.
     """
 
     run_id: str
@@ -146,7 +146,7 @@ class ShardCollector(Collector):
             self._gauge_t[name] = t
 
     def event(self, name: str, **attrs: Any) -> None:
-        """Record a point-in-time event (a claim, a reclaim, a takeover)."""
+        """Record a point-in-time event (a name plus optional fields)."""
         t = self._clock() - self._t0
         with self._lock:
             self._events.append({"name": name, "t": t, "attrs": attrs})
@@ -395,9 +395,9 @@ def critical_path(spans: list[dict[str, Any]]) -> dict[str, Any]:
 
     From the root span with the greatest end time (``start + duration``),
     repeatedly step to the child with the greatest end time, to a leaf.
-    On a distributed sweep that walk passes through the last-finishing
-    ``dist.claim`` span — the straggler shard — which is exactly the
-    "where did the wall-clock go" answer.  Ties break on span id, so the
+    On a pooled run that walk passes through the last-finishing task
+    span — the straggler — which is exactly the "where did the
+    wall-clock go" answer.  Ties break on span id, so the
     path is deterministic.  Returns an empty path for no spans.
     """
     if not spans:

@@ -18,10 +18,9 @@ Durability rules:
 * every write lands via temp-file + ``os.replace`` (atomic on POSIX), so
   a crash mid-store can strand a temp file but never a half-written index
   or payload;
-* every index read-modify-write holds an ``flock`` on ``index.lock``
-  (the same discipline as :mod:`repro.dist`), so concurrent writers —
-  serving workers, distributed shards — serialize instead of losing each
-  other's entries; reads stay lock-free because the replace is atomic;
+* every index read-modify-write holds an ``flock`` on ``index.lock``,
+  so concurrent writers — serving workers, separate CLI runs — serialize
+  instead of losing each other's entries; reads stay lock-free because the replace is atomic;
 * every read is **corruption-tolerant**: unparsable index → empty cache,
   unreadable payload → miss, and each loaded witness is re-verified
   against the live network (capacity and counted-count must match the

@@ -12,21 +12,17 @@ holds the machinery the solver and routing stacks thread through:
 * :mod:`~repro.resilience.supervise` — a supervised process pool that
   detects crashed or hung workers, retries with exponential backoff, and
   degrades to in-process serial execution;
-* :mod:`~repro.resilience.faults` — seeded node/edge deletion, a
-  one-shot worker-crash harness, and deterministic multi-worker crash
-  schedules (:class:`~repro.resilience.faults.CrashSchedule`) for chaos
-  tests and benchmarks.
+* :mod:`~repro.resilience.faults` — seeded node/edge deletion and a
+  one-shot worker-crash harness for fault tests and benchmarks.
 
 The degradation cascade that ties the tiers together into a certified
-answer lives in :mod:`repro.core.fallback`; the lease-based multi-worker
-coordination substrate built on the checkpoint ledger lives in
-:mod:`repro.dist`.
+answer lives in :mod:`repro.core.fallback`.
 """
 
 from .budget import Budget, CancellationToken
 from .checkpoint import CheckpointStore, RangeLedger
 from .supervise import RetryPolicy, SupervisionReport, supervised_map
-from .faults import CrashSchedule, FaultInjector, arm_crash_token, maybe_crash
+from .faults import FaultInjector, arm_crash_token, maybe_crash
 
 __all__ = [
     "Budget",
@@ -36,7 +32,6 @@ __all__ = [
     "RetryPolicy",
     "SupervisionReport",
     "supervised_map",
-    "CrashSchedule",
     "FaultInjector",
     "arm_crash_token",
     "maybe_crash",

@@ -18,12 +18,9 @@ uninterrupted run is:
 
 :class:`RangeLedger` is the completed-range bookkeeping both sweeps share:
 a sorted list of disjoint half-open ``[lo, hi)`` intervals with merge on
-insert.  The distributed shard coordinator (:mod:`repro.dist`) folds the
-ledgers of many workers' completions together, so merge must be correct
-under *any* insertion order — touching, overlapping, nested, duplicated —
-and :meth:`RangeLedger.coverage` / :meth:`RangeLedger.gaps` answer the
-coordinator's two scheduling questions: how much of a span is done, and
-which subranges still need a lease.
+insert.  A resume may replay ranges from a different grid, so merge must
+be correct under *any* insertion order — touching, overlapping, nested,
+duplicated.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ class RangeLedger:
 
     def add(self, lo: int, hi: int) -> None:
         """Mark ``[lo, hi)`` completed (merging with existing ranges)."""
-        # Coerce up front: NumPy integers arriving from shard arithmetic
+        # Coerce up front: NumPy integers arriving from range arithmetic
         # would otherwise survive into to_list() and break json.dumps.
         lo, hi = int(lo), int(hi)
         if hi <= lo:
@@ -73,43 +70,6 @@ class RangeLedger:
     def covers(self, lo: int, hi: int) -> bool:
         """Whether ``[lo, hi)`` lies inside one completed range."""
         return any(a <= lo and hi <= b for a, b in self._ranges)
-
-    def coverage(self, lo: int, hi: int) -> int:
-        """How many integers of ``[lo, hi)`` are already covered.
-
-        Unlike :meth:`covers` this answers partial overlap: the shard
-        coordinator uses it to size reclaim work and to report progress
-        on a span no single completed range contains.
-        """
-        if hi <= lo:
-            return 0
-        return sum(
-            max(0, min(int(hi), b) - max(int(lo), a)) for a, b in self._ranges
-        )
-
-    def gaps(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Maximal uncovered subranges of ``[lo, hi)``, in ascending order.
-
-        The complement of the ledger within the span: exactly the ranges a
-        coordinator still needs to lease out.  ``gaps(lo, hi) == []`` iff
-        ``covers(lo, hi)`` (for a nonempty span).
-        """
-        lo, hi = int(lo), int(hi)
-        out: list[tuple[int, int]] = []
-        cursor = lo
-        for a, b in self._ranges:  # sorted and disjoint by construction
-            if b <= cursor:
-                continue
-            if a >= hi:
-                break
-            if a > cursor:
-                out.append((cursor, min(a, hi)))
-            cursor = max(cursor, b)
-            if cursor >= hi:
-                break
-        if cursor < hi:
-            out.append((cursor, hi))
-        return out
 
     @property
     def total(self) -> int:

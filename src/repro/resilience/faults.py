@@ -1,6 +1,6 @@
 """Seeded fault injection for networks, workers, and simulations.
 
-Three fault models:
+Two fault models:
 
 * **Topology faults** — :class:`FaultInjector` deletes a reproducible
   (seeded) random subset of nodes or edges from a network, modelling
@@ -22,23 +22,10 @@ Three fault models:
   function in-process), so without the guard a pool failure could make
   the *test harness* consume its own token and die — the "fires twice
   across fork" failure mode the guard closes.
-
-* **Crash schedules** — :class:`CrashSchedule` generalizes the one-shot
-  token into a deterministic, replayable plan over a worker fleet: *kill
-  worker i on its j-th successful claim*.  Keying kills to the claim
-  ordinal rather than a shard id makes firing robust to scheduling —
-  which shard a worker wins is a race, but that a live worker *claims*
-  is not — while the kill still lands after the claim, so the victim
-  dies holding a lease and the fleet must steal its shard back.  Each
-  planned kill is its own one-shot token, so a schedule is exactly as
-  atomic as the single token, and the full plan is persisted next to the
-  tokens so an observed chaos run can be replayed bit-for-bit
-  (:meth:`CrashSchedule.events` survives the kills; the tokens do not).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 from pathlib import Path
@@ -49,7 +36,6 @@ from ..topology.base import Network
 
 __all__ = [
     "FaultInjector",
-    "CrashSchedule",
     "arm_crash_token",
     "maybe_crash",
 ]
@@ -164,131 +150,3 @@ def maybe_crash(path: str | Path | None) -> None:
     except FileNotFoundError:
         return
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-class CrashSchedule:
-    """A deterministic worker-kill plan: *kill worker i on claim j*.
-
-    A schedule is a directory of one-shot crash tokens, one per planned
-    kill, named ``w<worker>.c<claim>``, plus a ``schedule.json`` manifest
-    recording the full plan (and the seed that generated it, for seeded
-    schedules).  A worker calls :meth:`maybe_crash` immediately after
-    each successful claim, passing its zero-based count of claims so
-    far; if the plan names that (worker, nth-claim) pair the worker
-    SIGKILLs itself exactly once — holding a live lease, which the
-    surviving fleet must then steal back — with the same atomic-unlink
-    claim and armer-PID protection as :func:`maybe_crash`.
-
-    Determinism: the plan itself is fixed data, and a kill at claim
-    ordinal ``j`` fires iff worker ``i`` ever wins ``j+1`` claims —
-    independent of *which* shards the scheduler hands it.  With ordinal
-    ``0`` (the :meth:`seeded` default) a doomed worker dies on its first
-    claim, so a chaos run is replayable from ``(seed, workers, kills)``
-    alone.
-    """
-
-    MANIFEST = "schedule.json"
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def arm(
-        cls, root: str | Path, kills: list[tuple[int, int]]
-    ) -> "CrashSchedule":
-        """Write tokens for an explicit ``[(worker, nth_claim), ...]`` plan."""
-        sched = cls(root)
-        sched.root.mkdir(parents=True, exist_ok=True)
-        plan = sorted({(int(w), int(c)) for w, c in kills})
-        for worker, claim in plan:
-            arm_crash_token(sched._token(worker, claim))
-        manifest = {
-            "version": 1,
-            "seed": None,
-            "kills": [[w, s] for w, s in plan],
-            "armed_by": os.getpid(),
-        }
-        tmp = sched.root / (cls.MANIFEST + ".tmp")
-        tmp.write_text(json.dumps(manifest, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, sched.root / cls.MANIFEST)
-        return sched
-
-    @classmethod
-    def seeded(
-        cls,
-        root: str | Path,
-        seed: int,
-        *,
-        workers: int,
-        kills: int,
-        spread: int = 1,
-    ) -> "CrashSchedule":
-        """A replayable random plan killing ``kills`` distinct workers.
-
-        The doomed workers are drawn without replacement with
-        ``default_rng(seed)``, so the same ``(seed, workers, kills,
-        spread)`` always yields the same plan.  No two kills share a
-        worker (a worker dies at most once), which keeps ``kills``
-        interpretable as "how many workers are lost".  Each kill's claim
-        ordinal is drawn from ``[0, spread)``; the default ``spread=1``
-        puts every kill on the victim's *first* claim, the strongest
-        guarantee that the kill actually fires (any worker that ever
-        wins work dies) — larger spreads stage later deaths for tests
-        that want a worker to finish some shards before dying.
-        """
-        if kills > workers:
-            raise ValueError(f"cannot kill {kills} of {workers} workers")
-        rng = np.random.default_rng(seed)
-        doomed_workers = rng.choice(workers, size=kills, replace=False)
-        doomed_claims = rng.integers(0, max(int(spread), 1), size=kills)
-        plan = [
-            (int(w), int(c)) for w, c in zip(doomed_workers, doomed_claims)
-        ]
-        sched = cls.arm(root, plan)
-        manifest_path = sched.root / cls.MANIFEST
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["seed"] = int(seed)
-        tmp = sched.root / (cls.MANIFEST + ".tmp")
-        tmp.write_text(json.dumps(manifest, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, manifest_path)
-        return sched
-
-    # ------------------------------------------------------------------ #
-    # Firing and inspection
-    # ------------------------------------------------------------------ #
-    def _token(self, worker: int, claim: int) -> Path:
-        return self.root / f"w{int(worker)}.c{int(claim)}"
-
-    def maybe_crash(self, worker: int, claim: int) -> None:
-        """SIGKILL iff the plan names (worker, nth-claim) and it is unclaimed."""
-        maybe_crash(self._token(worker, claim))
-
-    def events(self) -> list[tuple[int, int]]:
-        """The full plan from the manifest (survives fired tokens)."""
-        try:
-            data = json.loads(
-                (self.root / self.MANIFEST).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            return []
-        kills = data.get("kills")
-        if not isinstance(kills, list):
-            return []
-        try:
-            return sorted((int(w), int(s)) for w, s in kills)
-        except (TypeError, ValueError):
-            return []
-
-    def pending(self) -> list[tuple[int, int]]:
-        """Planned kills whose tokens have not fired yet."""
-        out = []
-        for worker, claim in self.events():
-            if self._token(worker, claim).exists():
-                out.append((worker, claim))
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<CrashSchedule {self.root} pending={self.pending()}>"

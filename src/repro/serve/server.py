@@ -19,8 +19,8 @@ The server owns the process-global obs collector for its lifetime: a
 plain in-memory :class:`~repro.obs.Collector`, or — when a telemetry
 directory is configured — a journaling
 :class:`~repro.obs.telemetry.ShardCollector` whose shards (server +
-pool workers) merge into ``<dir>/timeline.json`` on shutdown, the same
-fleet-timeline artifact the distributed runner produces.
+pool workers) merge into ``<dir>/timeline.json`` on shutdown, a
+fleet timeline that ``repro-butterfly stats`` renders and exports.
 
 Request handling is split so that every span opens and closes inside
 one synchronous call on the loop thread: asyncio may interleave

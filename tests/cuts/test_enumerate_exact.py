@@ -4,11 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cuts import Cut, cut_profile, min_bisection, min_u_bisection
-from repro.cuts.enumerate_exact import (
-    _complement_fold,
-    enumeration_shards,
-    shard_minima,
-)
 from repro.obs import collecting
 from repro.resilience import Budget
 from repro.topology import Network, butterfly, complete_graph
@@ -310,49 +305,8 @@ class TestReferenceOracle:
         assert_matches_reference(cut_profile(net), net, np.arange(11))
 
 
-def _merge_shards(net, counted, ranges, batch_bits=None):
-    """Ascending strict-``<`` merge of shard pre-fold states, then fold."""
-    m = len(counted)
-    best = np.full(m + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    best_mask = np.zeros(m + 1, dtype=np.uint64)
-    for lo, hi in ranges:
-        shard, shard_mask = shard_minima(
-            net.edges, counted, lo, hi, batch_bits=batch_bits
-        )
-        better = shard < best
-        best[better] = shard[better]
-        best_mask[better] = shard_mask[better]
-    return _complement_fold(best, best_mask, net.num_nodes)
-
-
 class TestShardsResumeBudget:
-    """Unaligned shards, cross-grid resumes and budget caps stay bit-identical."""
-
-    @pytest.mark.parametrize("batch_bits", [None, 5])
-    @pytest.mark.parametrize("shards", [3, 7])
-    def test_unaligned_shards_merge_to_serial(self, shards, batch_bits):
-        net = random_multigraph(15, 24, seed=3)
-        counted = np.arange(15)
-        ranges = enumeration_shards(net, shards)
-        assert any(lo % (1 << 10) for lo, _ in ranges)  # unaligned
-        values, masks = _merge_shards(net, counted, ranges, batch_bits)
-        serial = cut_profile(net)
-        np.testing.assert_array_equal(values, serial.values)
-        np.testing.assert_array_equal(masks, serial.witnesses)
-
-    @pytest.mark.parametrize("batch_bits", [None, 5])
-    def test_each_shard_covers_exactly_its_range(self, batch_bits):
-        # Masks outside [lo, hi) in a shard's partial edge columns must
-        # not leak into its pre-fold state.
-        net = random_multigraph(13, 24, seed=4)
-        counted = np.arange(13)
-        for lo, hi in enumeration_shards(net, 7):
-            values, masks = shard_minima(
-                net.edges, counted, lo, hi, batch_bits=batch_bits
-            )
-            ref_values, ref_masks = reference_minima(net, counted, lo, hi)
-            assert values.tolist() == ref_values
-            assert [int(w) for w in masks] == ref_masks
+    """Cross-grid resumes and budget caps stay bit-identical."""
 
     def test_small_grid_checkpoint_resumes_under_default_blocks(self, tmp_path):
         net = random_multigraph(14, 28, seed=5)

@@ -1,4 +1,4 @@
-"""Fault injection: seeded topology faults, crash tokens, crash schedules."""
+"""Fault injection: seeded topology faults and crash tokens."""
 
 import multiprocessing
 import signal
@@ -6,12 +6,7 @@ import signal
 import numpy as np
 import pytest
 
-from repro.resilience import (
-    CrashSchedule,
-    FaultInjector,
-    arm_crash_token,
-    maybe_crash,
-)
+from repro.resilience import FaultInjector, arm_crash_token, maybe_crash
 
 
 class TestDropEdges:
@@ -101,66 +96,3 @@ class TestCrashToken:
         p.join(10)
         assert p.exitcode == -signal.SIGKILL
         assert not token.exists()
-
-
-def _fire(sched_root, worker, claim):
-    CrashSchedule(sched_root).maybe_crash(worker, claim)
-
-
-class TestCrashSchedule:
-    def test_explicit_plan_round_trips(self, tmp_path):
-        sched = CrashSchedule.arm(tmp_path / "chaos", [(2, 0), (0, 1)])
-        assert sched.events() == [(0, 1), (2, 0)]
-        assert sched.pending() == [(0, 1), (2, 0)]
-
-    def test_seeded_plans_replay_identically(self, tmp_path):
-        a = CrashSchedule.seeded(tmp_path / "a", 7, workers=6, kills=3)
-        b = CrashSchedule.seeded(tmp_path / "b", 7, workers=6, kills=3)
-        assert a.events() == b.events()
-        assert len(a.events()) == 3
-
-    def test_seeded_kills_distinct_workers(self, tmp_path):
-        sched = CrashSchedule.seeded(tmp_path / "c", 3, workers=4, kills=4)
-        workers = [w for w, _ in sched.events()]
-        assert sorted(workers) == [0, 1, 2, 3]
-        # Default spread=1: every kill lands on the victim's first claim,
-        # so any doomed worker that ever wins work is guaranteed to die.
-        assert all(c == 0 for _, c in sched.events())
-
-    def test_more_kills_than_workers_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="cannot kill"):
-            CrashSchedule.seeded(tmp_path / "d", 0, workers=2, kills=3)
-
-    def test_unplanned_pairs_never_fire(self, tmp_path):
-        sched = CrashSchedule.arm(tmp_path / "chaos", [(1, 0)])
-        sched.maybe_crash(0, 0)  # not in the plan: survives
-        sched.maybe_crash(1, 1)  # planned worker, wrong ordinal: survives
-        assert sched.pending() == [(1, 0)]
-
-    def test_planned_kill_fires_exactly_once_across_processes(self, tmp_path):
-        sched = CrashSchedule.arm(tmp_path / "chaos", [(1, 0)])
-        p = multiprocessing.Process(
-            target=_fire, args=(str(sched.root), 1, 0)
-        )
-        p.start()
-        p.join(10)
-        assert p.exitcode == -signal.SIGKILL
-        # The manifest (replayability) survives; the token does not.
-        assert sched.events() == [(1, 0)]
-        assert sched.pending() == []
-        # A second worker replaying the same (worker, claim) pair lives.
-        q = multiprocessing.Process(
-            target=_fire, args=(str(sched.root), 1, 0)
-        )
-        q.start()
-        q.join(10)
-        assert q.exitcode == 0
-
-    def test_arming_process_cannot_kill_itself(self, tmp_path):
-        sched = CrashSchedule.arm(tmp_path / "chaos", [(0, 0)])
-        sched.maybe_crash(0, 0)  # armer PID guard: no SIGKILL, no claim
-        assert sched.pending() == [(0, 0)]
-
-    def test_missing_manifest_reads_as_empty_plan(self, tmp_path):
-        assert CrashSchedule(tmp_path / "nowhere").events() == []
-        assert CrashSchedule(tmp_path / "nowhere").pending() == []

@@ -122,81 +122,61 @@ class TestStats:
         assert "invalid manifest" in err and "kind" in err
 
 
-class TestDist:
-    def test_run_status_merge_round_trip(self, capsys, tmp_path):
-        state = str(tmp_path / "st")
-        cert = str(tmp_path / "cert.json")
-        assert main([
-            "dist", "run", "bn", "4", "--state", state,
-            "--shards", "4", "--workers", "2", "--certificate", cert,
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "4/4 shards done" in out
-        assert "BW(B4) = 4" in out
-        data = json.loads(open(cert).read())
-        assert (data["lower"], data["upper"]) == (4, 4)
+def _pool_enumerate(n):
+    """Pool task for the timeline tests: a traced exhaustive sweep of Bn."""
+    from repro.cuts.enumerate_exact import cut_profile
+    from repro.topology import butterfly
 
-        assert main(["dist", "status", "--state", state]) == 0
-        out = capsys.readouterr().out
-        assert "done=4" in out
-
-        merged = str(tmp_path / "merged.json")
-        assert main([
-            "dist", "merge", "--state", state, "--certificate", merged,
-        ]) == 0
-        again = json.loads(open(merged).read())
-        assert (again["lower"], again["upper"]) == (4, 4)
-
-    def test_status_on_missing_state(self, capsys, tmp_path):
-        assert main(["dist", "status", "--state", str(tmp_path / "no")]) == 2
-        assert "no coordinator state" in capsys.readouterr().err
-
-    def test_solve_with_shards(self, capsys):
-        assert main(["solve", "bn", "4", "--shards", "4"]) == 0
-        assert "BW(B4) = 4" in capsys.readouterr().out
+    return cut_profile(butterfly(n)).bisection_width()
 
 
 class TestTelemetryCLI:
     def _traced_run(self, tmp_path):
-        state = str(tmp_path / "st")
+        """A multi-process timeline, merged the way ``serve --telemetry`` does.
+
+        The parent shard holds a ``serve.run`` anchor span; two supervised
+        pool workers journal their ``pool.task`` spans (each wrapping a
+        traced B4 sweep) under it, and the shards merge into one
+        ``timeline.json``.
+        """
+        from repro.obs import (
+            ShardCollector, TraceContext, merge_shards, new_run_id,
+            write_timeline,
+        )
+        from repro.resilience import supervised_map
+
         tele = tmp_path / "tele"
-        rc = main([
-            "dist", "run", "bn", "4", "--state", state,
-            "--shards", "4", "--workers", "2", "--telemetry", str(tele),
-        ])
-        return rc, state, tele
-
-    def test_dist_run_telemetry_writes_valid_timeline(self, capsys, tmp_path):
-        from repro.obs import load_timeline, validate_timeline
-
-        rc, _state, tele = self._traced_run(tmp_path)
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "telemetry:" in err
-        assert "critical path:" in err and "dist.run" in err
-        timeline = load_timeline(tele / "timeline.json")
-        assert validate_timeline(timeline) == []
-        assert (tele / "parent.jsonl").exists()
-
-    def test_status_watch_once_renders_progress(self, capsys, tmp_path):
-        rc, state, _tele = self._traced_run(tmp_path)
-        assert rc == 0
-        capsys.readouterr()
-        assert main([
-            "dist", "status", "--state", state, "--watch", "--once",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "100%" in out
-        assert "done" in out
+        tele.mkdir()
+        run_id = new_run_id()
+        parent = ShardCollector(
+            tele / "server.jsonl", context=TraceContext(run_id),
+            worker="parent",
+        )
+        with parent.span("serve.run") as anchor:
+            parent.flush()
+            widths = supervised_map(
+                _pool_enumerate, [4, 4], workers=2,
+                telemetry={
+                    "dir": str(tele),
+                    "context": TraceContext(run_id, anchor.id).to_wire(),
+                },
+            )
+        parent.flush()
+        write_timeline(
+            tele / "timeline.json",
+            merge_shards(sorted(tele.glob("*.jsonl")), run_id=run_id),
+        )
+        return widths, tele
 
     def test_stats_renders_timeline_and_exports(self, capsys, tmp_path):
-        rc, _state, tele = self._traced_run(tmp_path)
-        assert rc == 0
+        widths, tele = self._traced_run(tmp_path)
+        assert widths == [4, 4]
         capsys.readouterr()
         timeline = str(tele / "timeline.json")
         assert main(["stats", timeline]) == 0
         out = capsys.readouterr().out
-        assert "dist.run" in out and "critical path" in out
+        assert "serve.run" in out and "pool.task" in out
+        assert "critical path" in out
 
         om = tmp_path / "om.txt"
         flame = tmp_path / "flame.txt"
@@ -210,13 +190,17 @@ class TestTelemetryCLI:
         assert "openmetrics written" in captured.err
         om_text = om.read_text()
         assert om_text.endswith("# EOF\n")
-        assert "repro_cuts_enumerate_cuts_evaluated_total 2048" in om_text
+        # Two B4 sweeps of 2^11 masks each, summed across the pool shards.
+        assert "repro_cuts_enumerate_cuts_evaluated_total 4096" in om_text
         flame_text = flame.read_text()
-        assert any(ln.startswith("dist.run") for ln in flame_text.splitlines())
+        assert any(
+            ln.startswith("serve.run;pool.task;cuts.enumerate ")
+            for ln in flame_text.splitlines()
+        )
 
     def test_stats_timeline_json_round_trips(self, capsys, tmp_path):
-        rc, _state, tele = self._traced_run(tmp_path)
-        assert rc == 0
+        widths, tele = self._traced_run(tmp_path)
+        assert widths == [4, 4]
         capsys.readouterr()
         assert main(["stats", str(tele / "timeline.json"), "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -229,17 +213,6 @@ class TestTelemetryCLI:
         ))
         assert main(["stats", str(path)]) == 1
         assert "invalid timeline" in capsys.readouterr().err
-
-    def test_solve_dist_telemetry_flag(self, capsys, tmp_path):
-        from repro.obs import load_timeline, validate_timeline
-
-        tele = tmp_path / "tele"
-        assert main([
-            "solve", "bn", "4", "--shards", "4",
-            "--dist-telemetry", str(tele),
-        ]) == 0
-        assert "BW(B4) = 4" in capsys.readouterr().out
-        assert validate_timeline(load_timeline(tele / "timeline.json")) == []
 
 
 class TestMainModule:
