@@ -14,8 +14,7 @@ Subcommands
     The Theorem 2.20 construction: plan and, when feasible, a built and
     verified balanced bisection of ``Bn`` with capacity below ``n``.
 ``solve {bn,wn,ccc,torus,mesh,fattree,fbfly} N [--dims D] [--timeout S]
-[--checkpoint PATH] [--trace PATH] [--cache DIR | --no-cache]
-[--certificate PATH]``
+[--trace PATH] [--cache DIR | --no-cache] [--certificate PATH]``
     Certified ``BW`` interval by the degradation cascade
     (:func:`repro.core.fallback.solve_with_fallback`): exact solvers under
     a wall-clock budget, heuristics as fallback, always a valid bound.
@@ -188,8 +187,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     budget = Budget(args.timeout) if args.timeout is not None else None
     cache_dir = _resolve_cache_dir(args)
     if args.trace is None:
-        cert = solve_with_fallback(net, budget=budget, checkpoint=args.checkpoint,
-                                   cache=cache_dir)
+        cert = solve_with_fallback(net, budget=budget, cache=cache_dir)
         print(cert)
         _maybe_write_certificate(args, net, cert)
         return 0
@@ -198,8 +196,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     collector = obs.Collector()
     with obs.collecting(collector):
-        cert = solve_with_fallback(net, budget=budget, checkpoint=args.checkpoint,
-                                   cache=cache_dir)
+        cert = solve_with_fallback(net, budget=budget, cache=cache_dir)
     manifest = obs.build_manifest(
         collector,
         command=["solve", args.family, str(args.n)] + (
@@ -420,11 +417,6 @@ def _stats_timeline(args: argparse.Namespace, data: dict) -> int:
         print(f"gauges ({len(gauges)}):")
         for k in sorted(gauges):
             print(f"  {k} = {gauges[k]}")
-    events = data.get("events", [])
-    if events:
-        print(f"events ({len(events)}):")
-        for e in events:
-            print(f"  {e['t'] * 1e3:9.3f} ms  {e['name']} [{e['worker']}]")
     return 0
 
 
@@ -496,11 +488,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"gauges ({len(gauges)}):")
         for k in sorted(gauges):
             print(f"  {k} = {gauges[k]}")
-    tele = data.get("telemetry")
-    if isinstance(tele, dict):
-        print(f"telemetry: run {tele.get('run_id')}, "
-              f"{len(tele.get('shard_files', []))} shard files, "
-              f"timeline {tele.get('timeline')}")
     return 0
 
 
@@ -640,8 +627,6 @@ def main(argv: list[str] | None = None) -> int:
                         "(default 2)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="wall-clock budget; expiry degrades, never fails")
-    p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="checkpoint file for the enumeration sweep")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write a run manifest (spans, counters, environment) "
                         "to PATH")

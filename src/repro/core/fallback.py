@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cuts.autotune import BATCH_CONTRACT_VERSION
 from ..cuts.branch_and_bound import bb_min_bisection
 from ..cuts.cut import Cut
-from ..cuts.enumerate_exact import cut_profile
+from ..cuts.enumerate_exact import BATCH_CONTRACT_VERSION, cut_profile
 from ..cuts.fiduccia_mattheyses import fm_bisection
 from ..cuts.kernighan_lin import kernighan_lin_bisection
 from ..cuts.layered_dp import layered_cut_profile
@@ -39,7 +38,6 @@ from ..cuts.spectral import spectral_bisection
 from ..obs import annotate, incr, trace
 from ..perf.cache import SolverCache
 from ..resilience.budget import Budget
-from ..resilience.checkpoint import CheckpointStore
 from ..topology.base import Network
 from .results import BoundCertificate
 
@@ -60,7 +58,6 @@ def _bisection_count(values: np.ndarray, m: int) -> int:
 def solve_with_fallback(
     net: Network,
     budget: Budget | None = None,
-    checkpoint: str | CheckpointStore | None = None,
     *,
     cache: SolverCache | str | None = None,
     enum_limit: int = _ENUM_LIMIT,
@@ -84,9 +81,6 @@ def solve_with_fallback(
     budget:
         Shared wall-clock/cancellation budget for the whole cascade;
         ``None`` means unlimited.
-    checkpoint:
-        Optional checkpoint file for the tier-1 enumeration sweep (see
-        :func:`repro.cuts.enumerate_exact.cut_profile`).
     cache:
         Optional :class:`~repro.perf.cache.SolverCache` (or its root
         directory).  A verified exact certificate for this instance — or
@@ -100,7 +94,7 @@ def solve_with_fallback(
     """
     with trace("solve.fallback", network=net.name, nodes=net.num_nodes):
         return _run_cascade(
-            net, budget, checkpoint,
+            net, budget,
             cache=SolverCache(cache) if isinstance(cache, (str,)) else cache,
             enum_limit=enum_limit, bb_limit=bb_limit,
             dp_width_limit=dp_width_limit,
@@ -110,7 +104,6 @@ def solve_with_fallback(
 def _run_cascade(
     net: Network,
     budget: Budget | None,
-    checkpoint: str | CheckpointStore | None,
     *,
     cache: SolverCache | None,
     enum_limit: int,
@@ -236,7 +229,7 @@ def _run_cascade(
                 )
                 prof = None
             if prof is None:
-                prof = cut_profile(net, budget=budget, checkpoint=checkpoint)
+                prof = cut_profile(net, budget=budget)
                 if cache is not None and prof.complete:
                     cache.put_profile(net, prof, version=BATCH_CONTRACT_VERSION)
         c = _bisection_count(prof.values, n)

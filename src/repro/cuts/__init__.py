@@ -17,7 +17,6 @@ from .layered_dp import (
     layered_u_bisection_width,
 )
 from .branch_and_bound import bb_min_bisection, bb_bisection_width
-from .parallel import parallel_cyclic_profile
 from .kernighan_lin import kernighan_lin_bisection, kl_refine
 from .fiduccia_mattheyses import fm_refine, fm_bisection
 from .spectral import fiedler_vector, spectral_bisection
@@ -68,7 +67,6 @@ __all__ = [
     "layered_u_bisection_width",
     "bb_min_bisection",
     "bb_bisection_width",
-    "parallel_cyclic_profile",
     "kernighan_lin_bisection",
     "kl_refine",
     "fm_refine",

@@ -27,19 +27,17 @@ profile answers every question in the paper at once:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..obs import incr, trace
 from ..resilience.budget import Budget
-from ..resilience.checkpoint import CheckpointStore, RangeLedger, as_store
 from ..topology.base import Network
-from .autotune import BATCH_CONTRACT_VERSION
 from .cut import Cut
 
 __all__ = [
+    "BATCH_CONTRACT_VERSION",
     "CutProfile",
     "cut_profile",
     "min_bisection",
@@ -47,6 +45,11 @@ __all__ = [
 ]
 
 _MAX_NODES = 28
+
+#: Version of the sweep's result contract (accumulation order, witness
+#: rule), folded into the solver cache's profile keys.  Bump when a
+#: semantic change would make cached profiles unsafe to reuse.
+BATCH_CONTRACT_VERSION = 2
 
 #: Free nodes ``0.._LOW_BITS-1`` index a block's rows (its low masks).
 _LOW_BITS = 10
@@ -77,7 +80,7 @@ class CutProfile:
         ``witnesses[c]`` = a side bitmask (as Python int over node indices)
         achieving ``values[c]``.
     complete:
-        ``True`` for an uninterrupted (or fully resumed) sweep.  A budget
+        ``True`` when the sweep reached every side assignment.  A budget
         expiry yields a *partial* profile: every finite entry of
         ``values`` is still a valid **upper bound** on the true minimum
         (it is the minimum over the examined assignments), and counts
@@ -102,29 +105,6 @@ class CutProfile:
         """Minimum capacity over cuts bisecting the counted set."""
         m = len(self.counted)
         return int(min(self.values[m // 2], self.values[(m + 1) // 2]))
-
-
-def _fingerprint(net: Network, counted: np.ndarray) -> str:
-    """Checkpoint key: refuse to resume a different computation's file.
-
-    The key folds in the *structural* identity of the network (the
-    order-independent :attr:`~repro.topology.base.Network.edge_digest`,
-    not just name and counts — two rewired networks sharing both must not
-    share checkpoints), a digest of the counted-node mask, and the batch
-    contract version, so any solver change that alters the meaning of
-    persisted ranges orphans old files instead of silently resuming them.
-    The batch size is deliberately *absent*: the profile fold is an
-    idempotent elementwise minimum and :class:`RangeLedger.covers`
-    requires full containment, so a resume under a different block grid
-    recomputes uncovered spans and stays bit-identical.
-    """
-    ind = np.zeros(net.num_nodes, dtype=np.uint8)
-    ind[counted] = 1
-    cdigest = hashlib.sha256(np.packbits(ind).tobytes()).hexdigest()[:16]
-    return (
-        f"cut-profile:v{BATCH_CONTRACT_VERSION}:{net.name}:{net.num_nodes}n:"
-        f"e{net.edge_digest[:16]}:c{cdigest}"
-    )
 
 
 class _SplitKernel:
@@ -229,19 +209,15 @@ class _SplitKernel:
         return stop - start
 
 
-def _complement_fold(
-    best: np.ndarray, best_mask: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Close a pre-fold profile under complement symmetry (copies).
+def _complement_fold(best: np.ndarray, best_mask: np.ndarray, n: int) -> None:
+    """Close the swept minima under complement symmetry, in place.
 
     Pinning node ``n-1`` to S̄ visits each unordered partition once, but
     labels sides; a cut with ``c`` counted in ``S`` is also a cut with
-    ``m - c`` counted in ``S``.  Fold the symmetric entry in — exactly
-    once, on the final profile, for checkpoint resumes to stay
-    bit-identical.
+    ``m - c`` counted in ``S``.  Each entry takes its mirror (with the
+    complemented witness) when that is strictly smaller, ascending in
+    ``c``, so the result is independent of the block grid.
     """
-    best = best.copy()
-    best_mask = best_mask.copy()
     m = len(best) - 1
     one = np.uint64(1)
     full = (np.uint64(1) << np.uint64(n)) - one
@@ -250,7 +226,6 @@ def _complement_fold(
         if best[cc] < best[c]:
             best[c] = best[cc]
             best_mask[c] = best_mask[cc] ^ full
-    return best, best_mask
 
 
 def cut_profile(
@@ -258,7 +233,6 @@ def cut_profile(
     counted: np.ndarray | None = None,
     *,
     budget: Budget | None = None,
-    checkpoint: str | CheckpointStore | None = None,
     batch_bits: int | None = None,
 ) -> CutProfile:
     """Compute the exact cut profile of ``net`` by exhaustive enumeration.
@@ -273,13 +247,6 @@ def cut_profile(
         Optional :class:`~repro.resilience.budget.Budget`, polled once per
         batch; on expiry the best-so-far profile is returned with
         ``complete=False`` instead of raising.
-    checkpoint:
-        Optional checkpoint file (path or
-        :class:`~repro.resilience.checkpoint.CheckpointStore`).  Completed
-        batch ranges and the running profile are persisted atomically
-        after every batch; a rerun with the same arguments skips finished
-        ranges and is bit-identical to an uninterrupted run (the stored
-        state is pre-fold, so the complement fold happens exactly once).
     batch_bits:
         Optional log2 ceiling on the masks per block; the default block
         is :data:`_BLOCK_BITS`.  A budget's ``max_batch_bits`` memory
@@ -306,54 +273,29 @@ def cut_profile(
     best = np.full(m + 1, inf, dtype=np.int64)
     best_mask = np.zeros(m + 1, dtype=np.uint64)
 
-    total = 1 << (n - 1)  # pin node n-1 to the S̄ side
+    free = max(n - 1, 0)  # pin node n-1 to the S̄ side
+    total = 1 << free
     bits = _block_bits(batch_bits)
     if budget is not None:
         bits = budget.batch_bits(bits)
-    bits = min(bits, n - 1)
-    kernel = _SplitKernel(net.edges, counted, n - 1, bits)
-
-    store = as_store(checkpoint)
-    ledger = RangeLedger()
-    key = _fingerprint(net, counted) if store is not None else ""
-    if store is not None:
-        saved = store.load(key)
-        if saved is not None:
-            prev = RangeLedger.from_list(saved.get("completed"))
-            values = np.asarray(saved.get("best", ()), dtype=np.int64)
-            masks_saved = np.asarray(saved.get("best_mask", ()), dtype=np.uint64)
-            if values.shape == (m + 1,) and masks_saved.shape == (m + 1,):
-                ledger, best, best_mask = prev, values, masks_saved
+    bits = min(bits, free)
+    kernel = _SplitKernel(net.edges, counted, free, bits)
 
     with trace("cuts.enumerate", network=net.name, nodes=n, counted=m,
                assignments=total, block_bits=bits, low_bits=kernel.k):
         start = 0
         while start < total:
-            stop = min(start + (1 << bits), total)
-            if ledger.covers(start, stop):
-                incr("cuts.enumerate.batches_resumed")
-                start = stop
-                continue
             if budget is not None and budget.expired():
                 incr("cuts.enumerate.budget_expiries")
                 break
+            stop = min(start + (1 << bits), total)
             evaluated = kernel.fold(start, stop, best, best_mask)
-            ledger.add(start, stop)
             incr("cuts.enumerate.batches")
             incr("cuts.enumerate.cuts_evaluated", evaluated)
-            if store is not None:
-                # Pre-fold state: the complement fold below must run exactly
-                # once, on the final profile, for resume to be bit-identical.
-                store.save(key, {
-                    "completed": ledger.to_list(),
-                    "best": best.tolist(),
-                    "best_mask": [int(x) for x in best_mask],
-                })
             start = stop
 
-    complete = ledger.total == total
-    best, best_mask = _complement_fold(best, best_mask, n)
-    return CutProfile(net, counted, best, best_mask, complete)
+    _complement_fold(best, best_mask, n)
+    return CutProfile(net, counted, best, best_mask, start == total)
 
 
 def min_bisection(net: Network) -> Cut:

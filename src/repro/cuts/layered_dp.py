@@ -178,7 +178,7 @@ def _transfer(pairs: np.ndarray, w1: int, w2: int) -> _Transfer:
 
 @dataclass(frozen=True)
 class _Tables:
-    """What a sweep reads: shared by every pin, and shipped to workers."""
+    """What a sweep reads: built once and shared by every pin."""
 
     C: int
     intras: list[np.ndarray]  # per layer: intra-layer edges cut by each mask
@@ -341,7 +341,7 @@ def layered_cut_profile(
     with trace("cuts.layered_dp", network=net.name, layers=len(layers),
                width=max(widths), cyclic=cyclic):
         tabs = _tables(net, layers, cyclic, counted)
-        # repro-lint: disable=RL008 -- each pin iteration is one vectorized min-plus sweep over all layer states (the contract's unit of work); the exponential pin count is inherent to the cyclic closure, and the parallel sweep chunks this same loop across workers
+        # repro-lint: disable=RL008 -- each pin iteration is one vectorized min-plus sweep over all layer states (the contract's unit of work); the exponential pin count is inherent to the cyclic closure
         for pin in range(1 << widths[0]) if cyclic else [None]:
             if budget is not None and budget.expired():
                 incr("cuts.layered_dp.budget_expiries")

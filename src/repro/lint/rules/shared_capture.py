@@ -6,9 +6,9 @@ mutating *looks* like shared state but is not: each worker sees a copy
 frozen at submission time, the parent's later mutations never arrive,
 and — worse — under the pool's serial-degradation fallback the same
 closure suddenly *does* share state, so results differ between the
-parallel and serial paths.  That divergence breaks the bit-identical
-parallel pin sweep and serve's pooled solves, and it reproduces only
-under load, never in a unit test.
+parallel and serial paths.  That divergence breaks serve's pooled
+solves and the parallel lint phase, and it reproduces only under load,
+never in a unit test.
 
 The extraction pass (:mod:`repro.lint.analysis.summaries`) performs a
 closure-capture escape analysis at every call to a configured pool
@@ -19,7 +19,7 @@ attribute stores, ``+=`` rebinding, mutating method calls like
 ``append``/``update``).  A non-empty intersection is a finding.
 Module-level task functions are always clean — they have no closure,
 which is the recommended shape (pass state through arguments, merge
-through ``on_result``, which runs in the parent).
+the returned results in the parent).
 
 Advisory (warning) severity: the repo is clean.
 """
@@ -54,6 +54,6 @@ class SharedCaptureRule(Rule):
                 v["path"], v["lineno"], v["col"], self.rule_id,
                 f"task '{v['task']}' submitted to {v['pool']} closes over "
                 f"mutated state ({captured}) — workers get a pickled copy; "
-                f"pass it as an argument or merge via on_result instead",
+                f"pass it as an argument or merge the returned results instead",
                 Severity.WARNING,
             )

@@ -8,8 +8,8 @@ Three primitives, all zero-dependency:
   monotonic-clock timing with its parent and attributes;
 * **counters/gauges** — ``incr("cuts.bb.nodes_pruned", k)`` named solver
   statistics (cuts enumerated, DP states, B&B prunes, worker retries,
-  dropped packets, checkpoint writes), incremented through a
-  no-op-when-disabled fast path so hot loops pay ~nothing by default;
+  dropped packets), incremented through a no-op-when-disabled fast path
+  so hot loops pay ~nothing by default;
 * **manifests** — :func:`build_manifest`/:func:`write_manifest` persist
   one atomically-written JSON artifact per run: seed, git revision,
   toolchain versions, budget state, the degradation tier that won, every

@@ -84,14 +84,6 @@ MANIFEST_SCHEMA: dict[str, Any] = {
         "counters": {"type": "object", "additionalProperties": {"type": "integer"}},
         "gauges": {"type": "object", "additionalProperties": {"type": "number"}},
         "notes": {"type": "object"},
-        "telemetry": {
-            "type": ["object", "null"],
-            "properties": {
-                "run_id": {"type": "string"},
-                "shard_files": {"type": "array", "items": {"type": "string"}},
-                "timeline": {"type": ["string", "null"]},
-            },
-        },
     },
 }
 
@@ -138,21 +130,15 @@ def build_manifest(
     budget: dict[str, Any] | None = None,
     tier: str | None = None,
     result: dict[str, Any] | None = None,
-    telemetry: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Assemble the manifest dict for one collected run.
 
     ``tier`` defaults to the collector's ``winning_tier`` note, which
-    :func:`repro.core.fallback.solve_with_fallback` records;
-    ``telemetry`` (the fleet-run pointer block: ``run_id``, shard file
-    paths, merged timeline path) likewise defaults to the collector's
-    ``telemetry`` note, when a caller records one.
+    :func:`repro.core.fallback.solve_with_fallback` records.
     """
     snap = collector.snapshot()
     if tier is None:
         tier = snap["notes"].get("winning_tier")
-    if telemetry is None:
-        telemetry = snap["notes"].get("telemetry")
     return {
         "kind": MANIFEST_KIND,
         "version": MANIFEST_VERSION,
@@ -166,7 +152,6 @@ def build_manifest(
         "counters": snap["counters"],
         "gauges": snap["gauges"],
         "notes": snap["notes"],
-        "telemetry": telemetry,
     }
 
 
@@ -257,16 +242,4 @@ def validate_manifest(data: Any) -> list[str]:
                     isinstance(value, (int, float)) and not isinstance(value, bool),
                     f"gauges[{name!r}] is not a number")
 
-    telemetry = data.get("telemetry")
-    if telemetry is not None and _expect(
-        problems, isinstance(telemetry, dict), "telemetry must be an object or null"
-    ):
-        _expect(problems, isinstance(telemetry.get("run_id"), str),
-                "telemetry.run_id missing or not a string")
-        files = telemetry.get("shard_files", [])
-        if _expect(problems, isinstance(files, list),
-                   "telemetry.shard_files is not an array"):
-            for i, f in enumerate(files):
-                _expect(problems, isinstance(f, str),
-                        f"telemetry.shard_files[{i}] is not a string")
     return problems

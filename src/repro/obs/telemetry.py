@@ -106,9 +106,9 @@ class TraceContext:
 class ShardCollector(Collector):
     """A collector that journals to one worker's JSONL shard file.
 
-    Everything the base collector records — plus free-form *events*
-    (:meth:`event`) and per-gauge write timestamps (for the merger's
-    last-write-wins rule) — serializes on :meth:`flush`: the whole
+    Everything the base collector records — plus per-gauge write
+    timestamps (for the merger's last-write-wins rule) — serializes on
+    :meth:`flush`: the whole
     journal is rewritten to a sibling temp file and ``os.replace``\\ d
     into place, so the on-disk file is always one complete snapshot
     (never an interleaving of two) and a crash between flushes merely
@@ -135,7 +135,6 @@ class ShardCollector(Collector):
         self.context = context if context is not None else TraceContext(new_run_id())
         self.worker = str(worker)
         self._gauge_t: dict[str, float] = {}
-        self._events: list[dict[str, Any]] = []
 
     # -- extended recording ---------------------------------------------
 
@@ -144,12 +143,6 @@ class ShardCollector(Collector):
         with self._lock:
             self._gauges[name] = value
             self._gauge_t[name] = t
-
-    def event(self, name: str, **attrs: Any) -> None:
-        """Record a point-in-time event (a name plus optional fields)."""
-        t = self._clock() - self._t0
-        with self._lock:
-            self._events.append({"name": name, "t": t, "attrs": attrs})
 
     # -- the shard file -------------------------------------------------
 
@@ -182,7 +175,6 @@ class ShardCollector(Collector):
                      "value": self._gauges[name],
                      "t": self._gauge_t.get(name, 0.0)}
                 )
-            lines.extend({"type": "event", **e} for e in self._events)
         return lines
 
     def flush(self) -> Path:
@@ -216,7 +208,6 @@ def read_shard(path: str | os.PathLike) -> dict[str, Any] | None:
     open_spans: list[dict[str, Any]] = []
     counters: dict[str, int] = {}
     gauges: dict[str, dict[str, Any]] = {}
-    events: list[dict[str, Any]] = []
     torn = 0
     for line in text.splitlines():
         if not line.strip():
@@ -250,8 +241,6 @@ def read_shard(path: str | os.PathLike) -> dict[str, Any] | None:
             gauges[rec["name"]] = {
                 "value": rec.get("value"), "t": rec.get("t", 0.0),
             }
-        elif kind == "event":
-            events.append(rec)
         else:
             torn += 1
     if header is None:
@@ -262,7 +251,6 @@ def read_shard(path: str | os.PathLike) -> dict[str, Any] | None:
         "open_spans": open_spans,
         "counters": counters,
         "gauges": gauges,
-        "events": events,
         "torn_lines": torn,
     }
 
@@ -320,7 +308,6 @@ def merge_shards(
     spans: list[dict[str, Any]] = []
     counters: dict[str, int] = {}
     gauge_picks: dict[str, tuple[float, str, Any]] = {}
-    events: list[dict[str, Any]] = []
     torn = 0
     for worker, _fname, s in shards:
         t0 = float(s["header"].get("t0", 0.0))
@@ -363,17 +350,9 @@ def merge_shards(
             pick = (float(g.get("t", 0.0)) + shift, worker, g.get("value"))
             if name not in gauge_picks or pick[:2] > gauge_picks[name][:2]:
                 gauge_picks[name] = pick
-        for e in s["events"]:
-            events.append({
-                "name": str(e.get("name", "?")),
-                "worker": worker,
-                "t": float(e.get("t", 0.0)) + shift,
-                "attrs": e.get("attrs") or {},
-            })
         torn += int(s.get("torn_lines", 0))
 
     spans.sort(key=lambda r: (r["start"], r["worker"], r["id"]))
-    events.sort(key=lambda e: (e["t"], e["worker"], e["name"]))
     return {
         "kind": TIMELINE_KIND,
         "version": TELEMETRY_VERSION,
@@ -385,7 +364,6 @@ def merge_shards(
         "spans": spans,
         "counters": counters,
         "gauges": {k: v[2] for k, v in sorted(gauge_picks.items())},
-        "events": events,
         "critical_path": critical_path(spans),
     }
 

@@ -7,8 +7,9 @@ Three pieces, built on the paper's own machinery:
   instances share cache keys and witnesses transport between them;
 * :mod:`repro.perf.cache` — :class:`SolverCache`, the atomic on-disk
   store memoizing cut profiles and bound certificates across runs;
-* :mod:`repro.cuts.autotune` (re-exported here) — the versioned batch
-  contract of the exhaustive kernels and the pin-sweep chunk sizing.
+* :data:`BATCH_CONTRACT_VERSION` (re-exported from
+  :mod:`repro.cuts.enumerate_exact`) — the version of the sweep's result
+  contract that the profile keys fold in.
 
 :func:`cached_cut_profile` is the convenience entry point combining the
 first two with :func:`repro.cuts.enumerate_exact.cut_profile`.
@@ -18,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cuts.autotune import BATCH_CONTRACT_VERSION, pin_chunk_count
-from ..cuts.enumerate_exact import CutProfile, cut_profile
+from ..cuts.enumerate_exact import BATCH_CONTRACT_VERSION, CutProfile, cut_profile
 from ..obs import incr
 from ..topology.base import Network
 from .cache import PROFILE_SOLVER, SolverCache
@@ -42,7 +42,6 @@ __all__ = [
     "cut_profile",
     "mask_to_side",
     "permute_mask",
-    "pin_chunk_count",
     "side_to_mask",
     "unpermute_mask",
 ]

@@ -27,7 +27,7 @@ Durability rules:
   stored value) so a stale or torn payload degrades to a recompute, never
   to a wrong answer;
 * keys embed the solver name and a caller-supplied version (which should
-  fold in :data:`repro.cuts.autotune.BATCH_CONTRACT_VERSION`), so a
+  fold in :data:`repro.cuts.enumerate_exact.BATCH_CONTRACT_VERSION`), so a
   semantic solver change orphans old entries instead of reusing them.
 
 Obs counters: ``perf.cache.hit`` / ``perf.cache.miss`` /

@@ -1,7 +1,7 @@
 """Solver budgets: wall-clock deadlines and cooperative cancellation.
 
 A :class:`Budget` is handed to the exact solvers (exhaustive enumeration,
-the layered DP, the parallel pin sweep, branch and bound); they poll
+the layered DP, branch and bound); they poll
 :meth:`Budget.expired` at natural work boundaries (batch, pin, search
 node) and, once the budget is gone, stop and return their best-so-far as a
 partial result instead of raising.  Cancellation is *cooperative*: nothing

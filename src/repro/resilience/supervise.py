@@ -16,11 +16,8 @@ behaviors the solvers need:
   parent, so the answer is still computed (exactness is preserved; only
   the speedup is lost);
 * the pool is terminated and joined on **every** exit path (success,
-  worker exception, budget expiry, ``KeyboardInterrupt``), so interrupted
-  runs never leak child processes.
-
-Results are reported incrementally through ``on_result`` so callers can
-checkpoint completed work ranges as they land.
+  worker exception, ``KeyboardInterrupt``), so interrupted runs never
+  leak child processes.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from ..obs import (
     incr,
     new_run_id,
 )
-from .budget import Budget
 
 __all__ = ["RetryPolicy", "SupervisionReport", "supervised_map"]
 
@@ -114,14 +110,15 @@ class SupervisionReport:
 class _TeleInitializer:
     """Picklable pool initializer chaining telemetry onto the caller's.
 
-    In a fresh pool worker it installs a process-global
+    In a pool worker it installs a fresh process-global
     :class:`~repro.obs.telemetry.ShardCollector` journaling to
     ``dir/pool-<pid>.jsonl`` under the inherited trace context, so every
     span/counter the task code records lands in that worker's shard
-    file.  In the *parent* (serial fallback runs the initializer there
-    too) an already-active collector — e.g. a traced CLI run's manifest
-    collector — is left in place: the parent's observations belong to
-    the parent's trace.
+    file — even when a ``fork`` copied the parent's active collector
+    into the worker.  In the *parent* that built it (serial fallback
+    runs the initializer there too) an already-active collector — e.g. a
+    traced CLI run's manifest collector — is left in place: the parent's
+    observations belong to the parent's trace.
     """
 
     def __init__(
@@ -133,9 +130,10 @@ class _TeleInitializer:
         self.wire = wire
         self.inner = inner
         self.innerargs = innerargs
+        self.parent_pid = os.getpid()
 
     def __call__(self) -> None:
-        if current() is None:
+        if os.getpid() != self.parent_pid or current() is None:
             tele = ShardCollector(
                 Path(self.wire["dir"]) / f"pool-{os.getpid()}.jsonl",
                 context=TraceContext.from_wire(self.wire.get("context")),
@@ -173,15 +171,12 @@ def supervised_map(
     initializer: Callable[..., None] | None = None,
     initargs: tuple = (),
     policy: RetryPolicy | None = None,
-    budget: Budget | None = None,
-    on_result: Callable[[int, Any, Any], None] | None = None,
     report: SupervisionReport | None = None,
     telemetry: str | dict | None = None,
 ) -> list[Any]:
     """Map ``task_fn`` over ``tasks`` under supervision.
 
-    Returns one result slot per task, ``None`` for tasks the budget cut
-    off (inspect ``report.complete`` to distinguish).  ``task_fn`` must be
+    Returns one result per task, in task order.  ``task_fn`` must be
     picklable (module-level) and is also called directly in the parent for
     serial fallback, after running ``initializer`` there once.
 
@@ -213,7 +208,6 @@ def supervised_map(
             "shard_files": [],
         }
     results: list[Any] = [None] * len(tasks)
-    done = [False] * len(tasks)
 
     parent_ready = False
 
@@ -228,18 +222,11 @@ def supervised_map(
             report.degraded_tasks.append(i)
             incr("pool.serial_degrades")
         results[i] = task_fn(tasks[i])
-        done[i] = True
         report.serial_tasks += 1
         report.completed += 1
-        if on_result is not None:
-            on_result(i, tasks[i], results[i])
 
     def _serial_sweep(degraded: bool = False) -> list[Any]:
         for i in range(len(tasks)):
-            if done[i]:
-                continue
-            if budget is not None and budget.expired():
-                break
             _run_serial(i, degraded=degraded)
         return results
 
@@ -280,14 +267,6 @@ def supervised_map(
             i: _submit(i) for i in range(len(tasks))
         }
 
-        def _sleep(seconds: float) -> None:
-            if budget is not None:
-                rem = budget.remaining()
-                if rem is not None:
-                    seconds = min(seconds, rem)
-            if seconds > 0:
-                time.sleep(seconds)
-
         def _failed(i: int, why: str) -> None:
             """Retry a lost/failed task, or degrade it to serial."""
             del pending[i]
@@ -300,12 +279,10 @@ def supervised_map(
             report.retries += 1
             report.task_attempts[i] = attempts[i]
             incr("pool.retries")
-            _sleep(policy.delay(attempts[i]))
+            time.sleep(policy.delay(attempts[i]))
             pending[i] = _submit(i)
 
         while pending:
-            if budget is not None and budget.expired():
-                break
             progressed = False
             for i in sorted(pending):
                 async_result, deadline = pending[i]
@@ -320,17 +297,14 @@ def supervised_map(
                         continue
                     del pending[i]
                     results[i] = value
-                    done[i] = True
                     report.completed += 1
-                    if on_result is not None:
-                        on_result(i, tasks[i], value)
                 elif deadline is not None and now() > deadline:
                     progressed = True
                     report.timeouts += 1
                     incr("pool.task_timeouts")
                     _failed(i, "task timeout (crashed or hung worker)")
             if not progressed:
-                _sleep(_POLL_SECONDS)
+                time.sleep(_POLL_SECONDS)
         return _finalize(results)
     finally:
         if pool is not None:

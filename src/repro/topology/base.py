@@ -149,7 +149,7 @@ class Network:
 
         Two networks share a digest iff they have the same node count and
         the same canonical edge multiset (as index pairs) — the structural
-        identity the checkpoint and solver-cache fingerprints key on, so a
+        identity the solver-cache fingerprints key on, so a
         rewired network can never silently reuse another's persisted state.
         The digest is insensitive to edge *construction order* (rows are
         lexicographically sorted before hashing) but deliberately sensitive

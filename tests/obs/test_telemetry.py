@@ -57,7 +57,6 @@ class TestShardFile:
         with col.span("dist.claim", {"shard": 2}):
             col.incr("cuts", 10)
             col.gauge("progress", 0.5)
-            col.event("claim", shard=2)
         col.flush()
 
         shard = read_shard(path)
@@ -73,9 +72,6 @@ class TestShardFile:
         assert span["attrs"] == {"shard": 2}
         assert shard["counters"] == {"cuts": 10}
         assert shard["gauges"]["progress"]["value"] == pytest.approx(0.5)
-        (event,) = shard["events"]
-        assert event["name"] == "claim"
-        assert event["attrs"] == {"shard": 2}
         assert shard["open_spans"] == []
         assert shard["torn_lines"] == 0
 

@@ -1,1 +1,1 @@
-"""Tests for the resilience layer (budgets, checkpoints, supervision, faults)."""
+"""Tests for the resilience layer (budgets, supervision, faults)."""

@@ -1,12 +1,9 @@
-"""Fault injection: seeded topology faults and crash tokens."""
-
-import multiprocessing
-import signal
+"""Fault injection: seeded topology faults."""
 
 import numpy as np
 import pytest
 
-from repro.resilience import FaultInjector, arm_crash_token, maybe_crash
+from repro.resilience import FaultInjector
 
 
 class TestDropEdges:
@@ -63,36 +60,3 @@ class TestDropNodes:
         assert net.num_nodes == w4.num_nodes
         assert net.name == w4.name
 
-
-class TestCrashToken:
-    def test_none_is_a_no_op(self):
-        maybe_crash(None)  # must not kill the test process
-
-    def test_missing_token_is_a_no_op(self, tmp_path):
-        maybe_crash(tmp_path / "never-armed")
-
-    def test_token_kills_exactly_once(self, tmp_path):
-        token = arm_crash_token(tmp_path / "crash")
-        p = multiprocessing.Process(target=maybe_crash, args=(str(token),))
-        p.start()
-        p.join(10)
-        assert p.exitcode == -signal.SIGKILL
-        assert not token.exists()
-        # Second consumer finds the token gone and survives.
-        q = multiprocessing.Process(target=maybe_crash, args=(str(token),))
-        q.start()
-        q.join(10)
-        assert q.exitcode == 0
-
-    def test_armer_is_immune_to_its_own_token(self, tmp_path):
-        # Under fork, serial degradation can route the instrumented task
-        # back into the arming process; the PID guard must keep it alive.
-        token = arm_crash_token(tmp_path / "crash")
-        maybe_crash(token)  # we armed it: must NOT kill this process
-        assert token.exists()  # and must not consume it either
-        # A forked child is not the armer and dies normally.
-        p = multiprocessing.Process(target=maybe_crash, args=(str(token),))
-        p.start()
-        p.join(10)
-        assert p.exitcode == -signal.SIGKILL
-        assert not token.exists()

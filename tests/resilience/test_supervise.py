@@ -13,12 +13,12 @@ import pytest
 
 from repro import obs
 from repro.resilience import (
-    Budget,
     RetryPolicy,
     SupervisionReport,
     supervised_map,
 )
-from repro.resilience.faults import arm_crash_token, maybe_crash
+
+from .test_crash_token import arm_crash_token, maybe_crash
 
 _FAST = RetryPolicy(task_timeout=10.0, max_retries=2, backoff=0.01)
 
@@ -65,6 +65,10 @@ def _die_once(arg):
     return x * x
 
 
+def _pid(_x):
+    return os.getpid()
+
+
 def _no_leaked_children(timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -92,14 +96,6 @@ class TestHappyPath:
 
     def test_empty_tasks(self):
         assert supervised_map(_square, [], workers=4) == []
-
-    def test_on_result_sees_every_completion(self):
-        seen = []
-        supervised_map(
-            _square, [2, 3], workers=2, policy=_FAST,
-            on_result=lambda i, task, value: seen.append((i, task, value)),
-        )
-        assert sorted(seen) == [(0, 2, 4), (1, 3, 9)]
 
 
 class TestFailureModes:
@@ -224,34 +220,6 @@ class TestObservability:
         assert _no_leaked_children()
 
 
-class TestBudget:
-    def test_expired_budget_returns_partial(self):
-        report = SupervisionReport()
-        out = supervised_map(
-            _square, [1, 2, 3], workers=2, policy=_FAST,
-            budget=Budget(0), report=report,
-        )
-        assert out == [None, None, None]
-        assert not report.complete
-        assert _no_leaked_children()
-
-    def test_serial_path_respects_budget_between_tasks(self):
-        t = {"v": 0.0}
-
-        def clock():
-            t["v"] += 1.0
-            return t["v"]
-
-        report = SupervisionReport()
-        out = supervised_map(
-            _square, [1, 2, 3, 4], workers=1,
-            budget=Budget(2.5, clock=clock), report=report,
-        )
-        # Polls before each task: the third poll is past the deadline.
-        assert out == [1, 4, None, None]
-        assert report.completed == 2 and not report.complete
-
-
 class TestPoolTelemetry:
     def test_pool_workers_journal_shards_that_merge(self, tmp_path):
         from repro.obs import merge_shards, validate_timeline
@@ -286,6 +254,44 @@ class TestPoolTelemetry:
         assert out == [4, 9]
         # No pool shard was journaled in the parent.
         assert report.telemetry["shard_files"] == []
+
+    def test_forked_workers_shard_under_a_traced_parent(self, tmp_path):
+        # Under fork each worker starts with a copy of the parent's active
+        # collector; it must still journal its own pool-<pid>.jsonl rather
+        # than flush its spans into a copy of the parent's shard.
+        from repro.obs import (
+            ShardCollector, TraceContext, merge_shards, new_run_id,
+            read_shard,
+        )
+
+        tele = tmp_path / "tele"
+        run_id = new_run_id()
+        parent = ShardCollector(
+            tele / "server.jsonl", context=TraceContext(run_id),
+            worker="parent",
+        )
+        with obs.collecting(parent), parent.span("serve.run") as anchor:
+            parent.flush()
+            pids = supervised_map(
+                _pid, list(range(6)), workers=2, policy=_FAST,
+                telemetry={
+                    "dir": str(tele),
+                    "context": TraceContext(run_id, anchor.id).to_wire(),
+                },
+            )
+            assert obs.current() is parent
+        parent.flush()
+
+        assert os.getpid() not in pids
+        for pid in set(pids):
+            shard = read_shard(tele / f"pool-{pid}.jsonl")
+            assert shard is not None and shard["header"]["pid"] == pid
+        server = read_shard(tele / "server.jsonl")
+        assert {s["name"] for s in server["spans"]} == {"serve.run"}
+        doc = merge_shards(sorted(tele.glob("*.jsonl")), run_id=run_id)
+        tasks = [s for s in doc["spans"] if s["name"] == "pool.task"]
+        assert len(tasks) == 6
+        assert _no_leaked_children()
 
     def test_wire_dict_nests_under_enclosing_context(self, tmp_path):
         from repro.obs import TraceContext, read_shard

@@ -110,6 +110,19 @@ class TestStats:
         assert validate_manifest(data) == []
         assert data["tier"] == "tier-2"
 
+    def test_legacy_null_telemetry_block_still_reads(self, capsys,
+                                                      manifest_path):
+        # Manifests written before the telemetry pointer block was dropped
+        # carry "telemetry": null; they stay valid and render.
+        data = json.loads(manifest_path.read_text())
+        assert "telemetry" not in data
+        data["telemetry"] = None
+        manifest_path.write_text(json.dumps(data))
+        assert validate_manifest(data) == []
+        capsys.readouterr()
+        assert main(["stats", str(manifest_path)]) == 0
+        assert "winning tier: tier-2" in capsys.readouterr().out
+
     def test_missing_file_fails(self, capsys, tmp_path):
         assert main(["stats", str(tmp_path / "absent.json")]) == 1
         assert "stats:" in capsys.readouterr().err
